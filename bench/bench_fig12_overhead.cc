@@ -42,29 +42,6 @@ class BenchController : public CentralizedController {
   using CentralizedController::CentralizedController;
   using CentralizedController::InstallPlModels;
   using CentralizedController::RegisterAppStatic;
-
-  // FNV fingerprint of everything the controller programmed: per-port SL
-  // tables, queue weights, and solved per-app weights, in ascending link
-  // order. Pure function of the scenario (not of cache mode or job count).
-  uint64_t StateDigest(const Network& network) const {
-    uint64_t h = kFnvOffsetBasis;
-    const size_t num_links = network.topology().num_links();
-    for (LinkId link = 0; link < static_cast<LinkId>(num_links); ++link) {
-      const PortConfig& port = network.port(link);
-      h = HashBytes(h, port.sl_to_queue.data(), port.sl_to_queue.size() * sizeof(int));
-      h = HashBytes(h, port.queue_weights.data(), port.queue_weights.size() * sizeof(double));
-      auto it = port_weights_.find(link);
-      if (it == port_weights_.end()) {
-        continue;
-      }
-      for (const auto& [app, weight] : it->second) {
-        // Field by field: pair<AppId, double> has padding bytes.
-        h = HashBytes(h, &app, sizeof(app));
-        h = HashBytes(h, &weight, sizeof(weight));
-      }
-    }
-    return h;
-  }
 };
 
 // Random convex decreasing polynomial of degree k in (1-b): slope, curvature
@@ -134,7 +111,7 @@ ScenarioResult RunScenario(const Topology& topo, int num_apps, size_t degree,
   // The Fig 12 quantity: recompute Eq 2 + queue mapping for every active port.
   ScenarioResult result;
   result.seconds = controller.RecomputeAllPortsTimed();
-  result.digest = controller.StateDigest(network);
+  result.digest = controller.StateDigest();
   return result;
 }
 

@@ -353,4 +353,24 @@ double CentralizedController::AppWeightAtPort(LinkId link, AppId app) const {
   return app_it != weights.end() && app_it->first == app ? app_it->second : 0;
 }
 
+uint64_t CentralizedController::StateDigest() const {
+  uint64_t h = kFnvOffsetBasis;
+  const size_t num_links = network_->topology().num_links();
+  for (LinkId link = 0; link < static_cast<LinkId>(num_links); ++link) {
+    const PortConfig& port = network_->port(link);
+    h = HashBytes(h, port.sl_to_queue.data(), port.sl_to_queue.size() * sizeof(int));
+    h = HashBytes(h, port.queue_weights.data(), port.queue_weights.size() * sizeof(double));
+    auto it = port_weights_.find(link);
+    if (it == port_weights_.end()) {
+      continue;
+    }
+    for (const auto& [app, weight] : it->second) {
+      // Field by field: pair<AppId, double> has padding bytes.
+      h = HashBytes(h, &app, sizeof(app));
+      h = HashBytes(h, &weight, sizeof(weight));
+    }
+  }
+  return h;
+}
+
 }  // namespace saba

@@ -150,6 +150,12 @@ class CentralizedController : public ControllerInterface {
   // PerAppWfqAllocator in the unlimited-queues configuration (Fig 11b).
   double AppWeightAtPort(LinkId link, AppId app) const;
 
+  // FNV fingerprint of everything the controller programmed: per-port SL
+  // tables, queue weights, and solved per-app weights, in ascending link
+  // order. A pure function of the call history, not of the solve cache or
+  // the shard count.
+  uint64_t StateDigest() const;
+
   size_t registered_app_count() const { return apps_.size(); }
 
  protected:

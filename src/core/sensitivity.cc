@@ -4,6 +4,8 @@
 #include <cassert>
 #include <sstream>
 
+#include "src/sim/parse.h"
+
 namespace saba {
 
 double SensitivityModel::SlowdownAt(double b) const {
@@ -65,14 +67,23 @@ std::optional<SensitivityTable> SensitivityTable::FromCsv(const std::string& csv
     if (!std::getline(row, field, ',')) {
       return std::nullopt;
     }
-    entry.r_squared = std::stod(field);
-    if (!std::getline(row, field, ',')) {
+    const std::optional<double> r_squared = ParseDouble(field);
+    if (!r_squared.has_value() || !std::getline(row, field, ',')) {
       return std::nullopt;
     }
-    entry.base_completion_seconds = std::stod(field);
+    const std::optional<double> base_completion_seconds = ParseDouble(field);
+    if (!base_completion_seconds.has_value()) {
+      return std::nullopt;
+    }
+    entry.r_squared = *r_squared;
+    entry.base_completion_seconds = *base_completion_seconds;
     std::vector<double> coeffs;
     while (std::getline(row, field, ',')) {
-      coeffs.push_back(std::stod(field));
+      const std::optional<double> coeff = ParseDouble(field);
+      if (!coeff.has_value()) {
+        return std::nullopt;
+      }
+      coeffs.push_back(*coeff);
     }
     if (coeffs.empty()) {
       return std::nullopt;

@@ -77,7 +77,8 @@ class SensitivityTable {
 
   // CSV persistence: one row per workload — name, r_squared, base seconds,
   // then the polynomial coefficients (ascending degree). The distributed
-  // controller's mapping database ships this file around (§5.4).
+  // controller's mapping database ships this file around (§5.4). FromCsv
+  // returns nullopt on a missing field or a field that is not a finite number.
   std::string ToCsv() const;
   static std::optional<SensitivityTable> FromCsv(const std::string& csv);
 

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -48,34 +47,18 @@ void RecordKnob(const char* name, const std::string& value, bool from_env) {
 
 }  // namespace
 
-std::optional<int64_t> ParseInt64(const std::string& text) {
-  // strtoll silently skips leading whitespace; the documented contract is
-  // "the whole string is the number", so reject it up front.
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (errno == ERANGE || end != text.c_str() + text.size()) {
-    return std::nullopt;
-  }
-  return static_cast<int64_t>(parsed);
-}
-
 int EnvInt(const char* name, int fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr) {
     RecordKnob(name, std::to_string(fallback), /*from_env=*/false);
     return fallback;
   }
-  const std::optional<int64_t> parsed = ParseInt64(value);
-  if (!parsed.has_value() || *parsed < std::numeric_limits<int>::min() ||
-      *parsed > std::numeric_limits<int>::max()) {
+  const std::optional<int> parsed = ParseInt(value);
+  if (!parsed.has_value()) {
     DieInvalidKnob(name, value);
   }
   RecordKnob(name, value, /*from_env=*/true);
-  return static_cast<int>(*parsed);
+  return *parsed;
 }
 
 uint64_t EnvSeed(uint64_t fallback) {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/net/units.h"
+#include "src/sim/parse.h"
 #include "src/sim/rng.h"
 #include "src/workload/workload_catalog.h"
 
@@ -22,16 +23,6 @@ bool SplitKeyValue(const std::string& token, std::string* key, std::string* valu
   *key = token.substr(0, eq);
   *value = token.substr(eq + 1);
   return true;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  std::istringstream is(text);
-  return static_cast<bool>(is >> *out) && is.eof();
-}
-
-bool ParseInt(const std::string& text, int* out) {
-  std::istringstream is(text);
-  return static_cast<bool>(is >> *out) && is.eof();
 }
 
 std::optional<PolicyKind> PolicyFromName(const std::string& name) {
@@ -94,12 +85,15 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
       for (size_t i = 1; i < rest.size(); ++i) {
         std::string key;
         std::string value;
-        double number = 0;
-        if (!SplitKeyValue(rest[i], &key, &value) || !ParseDouble(value, &number)) {
+        std::optional<double> number;
+        if (SplitKeyValue(rest[i], &key, &value)) {
+          number = ParseDouble(value);
+        }
+        if (!number.has_value()) {
           Fail(error, line_number, "bad topology parameter '" + rest[i] + "'");
           return std::nullopt;
         }
-        kv[key] = number;
+        kv[key] = *number;
       }
       const Bps64 capacity = Gbps64(kv.count("capacity_gbps") ? kv["capacity_gbps"] : 56.0);
       if (rest[0] == "star") {
@@ -153,34 +147,34 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
       }
       scenario.options.policy = *policy;
     } else if (directive == "seed") {
-      int seed = 0;
-      if (rest.size() != 1 || !ParseInt(rest[0], &seed) || seed < 0) {
+      const std::optional<int> seed = rest.size() == 1 ? ParseInt(rest[0]) : std::nullopt;
+      if (!seed.has_value() || *seed < 0) {
         Fail(error, line_number, "seed needs one non-negative integer");
         return std::nullopt;
       }
-      scenario.seed = static_cast<uint64_t>(seed);
+      scenario.seed = static_cast<uint64_t>(*seed);
       scenario.options.seed = scenario.seed;
     } else if (directive == "gamma") {
-      double gamma = 0;
-      if (rest.size() != 1 || !ParseDouble(rest[0], &gamma) || gamma < 0) {
+      const std::optional<double> gamma = rest.size() == 1 ? ParseDouble(rest[0]) : std::nullopt;
+      if (!gamma.has_value() || *gamma < 0) {
         Fail(error, line_number, "gamma needs one non-negative number");
         return std::nullopt;
       }
-      scenario.options.fecn_gamma = gamma;
+      scenario.options.fecn_gamma = *gamma;
     } else if (directive == "floor") {
-      double floor = 0;
-      if (rest.size() != 1 || !ParseDouble(rest[0], &floor) || floor < 0 || floor > 1) {
+      const std::optional<double> floor = rest.size() == 1 ? ParseDouble(rest[0]) : std::nullopt;
+      if (!floor.has_value() || *floor < 0 || *floor > 1) {
         Fail(error, line_number, "floor needs one number in [0, 1]");
         return std::nullopt;
       }
-      scenario.options.relative_min_weight = floor;
+      scenario.options.relative_min_weight = *floor;
     } else if (directive == "queues") {
-      int queues = 0;
-      if (rest.size() != 1 || !ParseInt(rest[0], &queues) || queues < 1) {
+      const std::optional<int> queues = rest.size() == 1 ? ParseInt(rest[0]) : std::nullopt;
+      if (!queues.has_value() || *queues < 1) {
         Fail(error, line_number, "queues needs one positive integer");
         return std::nullopt;
       }
-      scenario.options.queues_per_port = queues;
+      scenario.options.queues_per_port = *queues;
     } else if (directive == "job") {
       if (rest.empty()) {
         Fail(error, line_number, "job needs a workload name");
@@ -200,20 +194,26 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
           return std::nullopt;
         }
         if (key == "nodes") {
-          if (!ParseInt(value, &job.nodes) || job.nodes < 2) {
+          const std::optional<int> nodes = ParseInt(value);
+          if (!nodes.has_value() || *nodes < 2) {
             Fail(error, line_number, "nodes must be an integer >= 2");
             return std::nullopt;
           }
+          job.nodes = *nodes;
         } else if (key == "dataset") {
-          if (!ParseDouble(value, &job.dataset_scale) || job.dataset_scale <= 0) {
+          const std::optional<double> dataset = ParseDouble(value);
+          if (!dataset.has_value() || *dataset <= 0) {
             Fail(error, line_number, "dataset must be a positive scale factor");
             return std::nullopt;
           }
+          job.dataset_scale = *dataset;
         } else if (key == "start") {
-          if (!ParseDouble(value, &job.start_at) || job.start_at < 0) {
+          const std::optional<double> start = ParseDouble(value);
+          if (!start.has_value() || *start < 0) {
             Fail(error, line_number, "start must be a non-negative time");
             return std::nullopt;
           }
+          job.start_at = *start;
         } else {
           Fail(error, line_number, "unknown job parameter '" + key + "'");
           return std::nullopt;
@@ -246,11 +246,15 @@ std::optional<Scenario> ParseScenario(const std::string& text, std::string* erro
       for (size_t i = 1; i < rest.size(); ++i) {
         std::string key;
         std::string value;
-        double number = 0;
-        if (!SplitKeyValue(rest[i], &key, &value) || !ParseDouble(value, &number)) {
+        std::optional<double> parsed;
+        if (SplitKeyValue(rest[i], &key, &value)) {
+          parsed = ParseDouble(value);
+        }
+        if (!parsed.has_value()) {
           Fail(error, line_number, "bad " + directive + " parameter '" + rest[i] + "'");
           return std::nullopt;
         }
+        const double number = *parsed;
         if ((key == "a" && event.kind != FailureEvent::Kind::kNodeDown) ||
             (key == "id" && event.kind == FailureEvent::Kind::kNodeDown)) {
           event.a = static_cast<NodeId>(number);

@@ -864,6 +864,15 @@ void AllocateFromScratch(const std::vector<ActiveFlow*>& flows, const Network& n
   SolvePartitioned(flows, net, discipline, per_app_weights, &state, nullptr);
 }
 
+void BandwidthAllocator::Allocate(const std::vector<ActiveFlow*>& flows,
+                                  const Network& net) const {
+  AllocateFromScratch(flows, net, discipline_, per_app_weights_);
+}
+
+std::unique_ptr<AllocationEngine> BandwidthAllocator::CreateEngine(const Network* net) const {
+  return std::make_unique<AllocationEngine>(net, discipline_, per_app_weights_);
+}
+
 AllocationEngine::AllocationEngine(const Network* net, AllocationDiscipline discipline,
                                    PerAppWeightFn per_app_weights)
     : net_(net),

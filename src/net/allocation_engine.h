@@ -1,6 +1,6 @@
 // Incremental allocation engine: a persistent fabric state driven by deltas.
 //
-// The stateless BandwidthAllocator interface rebuilds the whole
+// The stateless BandwidthAllocator::Allocate entry point rebuilds the whole
 // flow -> queue -> link resource graph on every call, even though a typical
 // simulator event (one flow starting or completing) perturbs only the links on
 // that flow's path. AllocationEngine keeps the graph alive between events:
@@ -13,8 +13,8 @@
 // Exactness, not approximation: two flows can influence each other's rates
 // only through a chain of shared links, so a connected component of the
 // link <-> flow sharing graph is a self-contained allocation subproblem. Both
-// the engine and the from-scratch path (AllocateFromScratch, which backs the
-// classic BandwidthAllocator::Allocate) decompose the fabric into components
+// the engine and the from-scratch path (AllocateFromScratch, which backs
+// BandwidthAllocator::Allocate) decompose the fabric into components
 // and solve each with the same code. The solve itself is fixed-point integer
 // arithmetic (units.h Bps64 + WeightUnits): rates are exact 128-bit floors of
 // rational water levels and every aggregate is a commutative integer sum, so
@@ -174,7 +174,7 @@ class AllocationEngine {
 // is order-independent) and solves each with the same component solver the
 // engine uses. This is the oracle the incremental path is tested against,
 // and the implementation behind the stateless BandwidthAllocator::Allocate
-// entry points. Flow ids must be unique. Writes ActiveFlow::rate for every
+// entry point. Flow ids must be unique. Writes ActiveFlow::rate for every
 // flow.
 void AllocateFromScratch(const std::vector<ActiveFlow*>& flows, const Network& net,
                          AllocationDiscipline discipline,

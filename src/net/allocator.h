@@ -2,33 +2,38 @@
 //
 // The simulator is flow-level: instead of packets, each active flow has an
 // instantaneous rate, recomputed whenever the set of flows (or the switch
-// configuration) changes. Two disciplines are provided:
+// configuration) changes. A BandwidthAllocator is a queue discipline plus,
+// for per-application queues, a weight function. Three disciplines exist:
 //
-//  * WfqMaxMinAllocator — weighted max-min across per-port queues, matching
-//    the WFQ/WRR scheduling of InfiniBand switches (§5.2). A flow's weight at
-//    a link is queue_weight / flows_in_that_queue; rates are computed by
-//    weighted progressive filling: all flows grow proportionally to their
-//    path-wide minimum weight until a link saturates, whose flows then freeze
-//    at their share, and so on. The allocation is work-conserving and every
-//    flow ends up bottlenecked at some saturated link. (The per-flow weight
-//    is fixed at the start of each allocation — the classical approximation
-//    used by fluid simulators; per-queue shares at a single bottleneck are
-//    exact.)
+//  * kWfqSlQueues (WfqMaxMinAllocator) — weighted max-min across per-port
+//    queues, matching the WFQ/WRR scheduling of InfiniBand switches (§5.2).
+//    A flow's weight at a link is queue_weight / flows_in_that_queue; rates
+//    are computed by weighted progressive filling: all flows grow
+//    proportionally to their path-wide minimum weight until a link
+//    saturates, whose flows then freeze at their share, and so on. The
+//    allocation is work-conserving and every flow ends up bottlenecked at
+//    some saturated link. (The per-flow weight is fixed at the start of each
+//    allocation — the classical approximation used by fluid simulators;
+//    per-queue shares at a single bottleneck are exact.)
 //
-//  * StrictPriorityAllocator — serves priority classes in order (class 0
-//    first), giving each class a max-min allocation of the capacity left by
-//    higher classes. Used by the Homa-like and Sincronia-like baselines.
+//  * kStrictPriority (StrictPriorityAllocator) — serves priority classes in
+//    order (class 0 first), giving each class a max-min allocation of the
+//    capacity left by higher classes. Used by the Homa-like and
+//    Sincronia-like baselines.
+//
+//  * kPerAppQueues (PerAppWfqAllocator) — one virtual queue per application
+//    at every port; see PerAppWfqAllocator below.
 //
 // Capacity efficiency: each queue's share is scaled by the Network's
 // CongestionModel according to how many distinct applications share the
 // queue at that link (see network.h for the rationale).
 //
-// Each allocator is a *strategy* over a shared allocation core
-// (src/net/allocation_engine.{h,cc}): the stateless Allocate() entry point
-// recomputes everything from scratch, while CreateEngine() yields a stateful
-// AllocationEngine that keeps the resource graph alive between events and
-// re-solves only the components touched by deltas. Both paths run the same
-// component solver, so their rates are bit-identical.
+// Both entry points run the shared allocation core
+// (src/net/allocation_engine.{h,cc}): Allocate() recomputes everything from
+// scratch, while CreateEngine() yields a stateful AllocationEngine that keeps
+// the resource graph alive between events and re-solves only the components
+// touched by deltas. Both paths run the same component solver, so their
+// rates are bit-identical.
 
 #ifndef SRC_NET_ALLOCATOR_H_
 #define SRC_NET_ALLOCATOR_H_
@@ -87,27 +92,35 @@ class AllocationEngine;
 
 class BandwidthAllocator {
  public:
+  explicit BandwidthAllocator(AllocationDiscipline discipline,
+                              PerAppWeightFn per_app_weights = nullptr)
+      : discipline_(discipline), per_app_weights_(std::move(per_app_weights)) {}
+  // Virtual so the named disciplines below can be owned through a
+  // unique_ptr<BandwidthAllocator>.
   virtual ~BandwidthAllocator() = default;
 
   // Computes rates for all flows; writes ActiveFlow::rate. All flows must
   // have non-empty paths, remaining_bits > 0, and unique ids.
-  virtual void Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) = 0;
+  void Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) const;
 
   // A stateful engine solving the same discipline incrementally. `net` must
   // outlive the engine (see allocation_engine.h).
-  virtual std::unique_ptr<AllocationEngine> CreateEngine(const Network* net) const = 0;
+  std::unique_ptr<AllocationEngine> CreateEngine(const Network* net) const;
+
+ private:
+  AllocationDiscipline discipline_;
+  PerAppWeightFn per_app_weights_;
 };
 
+// Named constructors for the three disciplines (see the file comment).
 class WfqMaxMinAllocator : public BandwidthAllocator {
  public:
-  void Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) override;
-  std::unique_ptr<AllocationEngine> CreateEngine(const Network* net) const override;
+  WfqMaxMinAllocator() : BandwidthAllocator(AllocationDiscipline::kWfqSlQueues) {}
 };
 
 class StrictPriorityAllocator : public BandwidthAllocator {
  public:
-  void Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) override;
-  std::unique_ptr<AllocationEngine> CreateEngine(const Network* net) const override;
+  StrictPriorityAllocator() : BandwidthAllocator(AllocationDiscipline::kStrictPriority) {}
 };
 
 // WFQ where every application gets its own (virtual) queue at every port,
@@ -119,16 +132,9 @@ class StrictPriorityAllocator : public BandwidthAllocator {
 // (queues are app-pure by construction).
 class PerAppWfqAllocator : public BandwidthAllocator {
  public:
-  using WeightFn = PerAppWeightFn;
-
   // Null `weights` means unit weight for every application (ideal max-min).
-  explicit PerAppWfqAllocator(WeightFn weights = nullptr) : weights_(std::move(weights)) {}
-
-  void Allocate(const std::vector<ActiveFlow*>& flows, const Network& net) override;
-  std::unique_ptr<AllocationEngine> CreateEngine(const Network* net) const override;
-
- private:
-  WeightFn weights_;
+  explicit PerAppWfqAllocator(PerAppWeightFn weights = nullptr)
+      : BandwidthAllocator(AllocationDiscipline::kPerAppQueues, std::move(weights)) {}
 };
 
 }  // namespace saba

@@ -20,10 +20,10 @@ double DustFor(double rate_bps) { return kCompletionDustBits + rate_bps * 1e-9; 
 }  // namespace
 
 FlowSimulator::FlowSimulator(EventScheduler* scheduler, Network* network,
-                             BandwidthAllocator* allocator)
-    : scheduler_(scheduler), network_(network), allocator_(allocator) {
+                             const BandwidthAllocator* allocator)
+    : scheduler_(scheduler), network_(network) {
   assert(scheduler != nullptr && network != nullptr && allocator != nullptr);
-  engine_ = allocator_->CreateEngine(network_);
+  engine_ = allocator->CreateEngine(network_);
 }
 
 FlowId FlowSimulator::StartFlow(AppId app, NodeId src, NodeId dst, double bits, int sl,

@@ -34,8 +34,9 @@ class FlowSimulator {
  public:
   using CompletionCallback = std::function<void(FlowId)>;
 
-  // All pointers must outlive the simulator.
-  FlowSimulator(EventScheduler* scheduler, Network* network, BandwidthAllocator* allocator);
+  // `scheduler` and `network` must outlive the simulator; `allocator` is
+  // read only here, to create the engine.
+  FlowSimulator(EventScheduler* scheduler, Network* network, const BandwidthAllocator* allocator);
 
   FlowSimulator(const FlowSimulator&) = delete;
   FlowSimulator& operator=(const FlowSimulator&) = delete;
@@ -165,7 +166,6 @@ class FlowSimulator {
 
   EventScheduler* scheduler_;
   Network* network_;
-  BandwidthAllocator* allocator_;
   std::unique_ptr<AllocationEngine> engine_;
   std::function<void()> pre_allocate_hook_;
 

@@ -25,6 +25,13 @@ struct Anchor {
   double tolerance;  // Acceptable absolute deviation.
 };
 
+// Without this gtest names each case by the raw bytes of Anchor, which hold
+// the address of `workload`; ASLR would then rename the test on every build.
+void PrintTo(const Anchor& anchor, std::ostream* os) {
+  *os << "Anchor{" << anchor.workload << ", " << anchor.fraction << ", " << anchor.expected
+      << ", " << anchor.tolerance << "}";
+}
+
 class CalibrationTest : public ::testing::TestWithParam<Anchor> {};
 
 TEST_P(CalibrationTest, SlowdownMatchesPaperAnchor) {

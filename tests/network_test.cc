@@ -15,7 +15,6 @@ TEST(PortConfigTest, DefaultsToSingleSharedQueue) {
   }
   ASSERT_EQ(config.queue_weights.size(), 1u);
   EXPECT_DOUBLE_EQ(config.queue_weights[0], 1.0);
-  EXPECT_EQ(config.scheduling, PortScheduling::kWfq);
 }
 
 TEST(NetworkTest, ConstructsPortPerLink) {

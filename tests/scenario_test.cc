@@ -107,6 +107,10 @@ struct BadCase {
   const char* text;
 };
 
+// Without this gtest names each case by the raw bytes of BadCase, which are
+// string addresses; ASLR would then rename the test on every build.
+void PrintTo(const BadCase& bad, std::ostream* os) { *os << "BadCase{" << bad.name << "}"; }
+
 class ScenarioParserErrorTest : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(ScenarioParserErrorTest, RejectsWithMessage) {

@@ -85,6 +85,11 @@ TEST(SensitivityTableTest, FromCsvRejectsMalformedRows) {
   EXPECT_FALSE(SensitivityTable::FromCsv("just-a-name").has_value());
   EXPECT_FALSE(SensitivityTable::FromCsv("name,0.9").has_value());
   EXPECT_FALSE(SensitivityTable::FromCsv("name,0.9,100").has_value());  // No coefficients.
+  // Corrupt numbers are rejected without throwing and never truncated.
+  EXPECT_FALSE(SensitivityTable::FromCsv("LR,abc,1,2").has_value());
+  EXPECT_FALSE(SensitivityTable::FromCsv("LR,0.9,1e999,1").has_value());  // Overflow.
+  EXPECT_FALSE(SensitivityTable::FromCsv("LR,0.9x,1,2").has_value());     // Trailing junk.
+  EXPECT_FALSE(SensitivityTable::FromCsv("LR,0.9,100,nan").has_value());
   EXPECT_TRUE(SensitivityTable::FromCsv("name,0.9,100,1.0").has_value());
   EXPECT_TRUE(SensitivityTable::FromCsv("").has_value());  // Empty table is fine.
 }
