@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical pieces:
 // the WFQ fluid allocator (steady-state and incremental churn), the Eq-2
-// weight solver, clustering, and routing. These back the performance claims
-// in DESIGN.md (allocator cost linear-ish in flow count; closed-form solver
-// microseconds per port).
+// weight solver, clustering, Sincronia's BSSI ordering, and routing. These
+// back the performance claims in DESIGN.md (allocator cost linear-ish in flow
+// count; closed-form solver microseconds per port).
 //
 // Besides the console output, the run writes a machine-readable summary to
 // BENCH_micro.json (override the path with SABA_BENCH_JSON) so successive
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/baselines/sincronia_policy.h"
 #include "src/core/controller.h"
 #include "src/core/distributed_controller.h"
 #include "src/core/pl_mapper.h"
@@ -565,6 +566,41 @@ void BM_SweepRunnerScaling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTasks);
 }
 BENCHMARK(BM_SweepRunnerScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// --- Sincronia BSSI ordering --------------------------------------------------
+
+// One BSSI instance as a Sincronia refresh builds it: `coflows` coflows, each
+// with demand on a window of `ports` consecutive ports that overlaps the
+// previous coflow's window by `overlap` ports. Fig 10's shape is ~10 coflows
+// on ~75 mostly private ports; 64 coflows on 200 shared ports is the worst
+// case for the per-placement re-summation.
+void BM_BssiOrder(benchmark::State& state) {
+  const auto coflows = static_cast<uint32_t>(state.range(0));
+  const auto ports = static_cast<uint32_t>(state.range(1));
+  const auto stride = ports - static_cast<uint32_t>(state.range(2));
+  const uint32_t num_ports = stride * (coflows - 1) + ports;
+  Rng rng(41);
+  std::vector<double> bits(static_cast<size_t>(coflows) * ports);
+  for (double& b : bits) {
+    b = rng.Uniform(Megabytes(1), Gigabytes(1));
+  }
+  BssiSolver solver;
+  for (auto _ : state) {
+    solver.Reset();
+    for (uint32_t p = 0; p < num_ports; ++p) {
+      solver.AddPort(static_cast<LinkId>(p));
+    }
+    for (uint32_t c = 0; c < coflows; ++c) {
+      solver.AddCoflow(static_cast<AppId>(c));
+      for (uint32_t k = 0; k < ports; ++k) {
+        solver.AddDemand(c, c * stride + k, bits[static_cast<size_t>(c) * ports + k]);
+      }
+    }
+    benchmark::DoNotOptimize(solver.Solve().data());
+  }
+  state.SetItemsProcessed(state.iterations() * coflows);
+}
+BENCHMARK(BM_BssiOrder)->Args({10, 75, 2})->Args({64, 200, 200})->Unit(benchmark::kMicrosecond);
 
 // --- Routing -------------------------------------------------------------------
 

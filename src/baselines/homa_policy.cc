@@ -14,22 +14,28 @@ HomaScheduler::HomaScheduler(FlowSimulator* flow_sim, HomaConfig config)
 }
 
 int HomaScheduler::PriorityFor(double remaining_bits) const {
+  // The negated test also sends NaN to class 0.
+  if (!(remaining_bits > 0)) {
+    return 0;
+  }
   if (remaining_bits > config_.cutoff_bits) {
     return config_.num_priorities - 1;
   }
   // Geometric size buckets over (0, cutoff]: the smallest messages map to
   // class 0. With P-1 graduated classes, bucket by log2 of the fraction of
-  // the cutoff.
+  // the cutoff. The fraction underflows to 0 for subnormal sizes, making the
+  // octave count +inf, so the class-0 test comes before the int cast.
   const int graduated = config_.num_priorities - 1;
-  const double frac = remaining_bits / config_.cutoff_bits;  // (0, 1]
-  const int bucket = static_cast<int>(std::floor(-std::log2(frac)));
-  const int cls = graduated - 1 - bucket;
-  return cls < 0 ? 0 : cls;
+  const double octaves = -std::log2(remaining_bits / config_.cutoff_bits);  // >= 0
+  if (octaves >= graduated - 1) {
+    return 0;
+  }
+  return graduated - 1 - static_cast<int>(std::floor(octaves));
 }
 
 void HomaScheduler::RefreshPriorities() {
-  flow_sim_->ForEachActiveFlow([this](const ActiveFlow& flow) {
-    flow_sim_->SetFlowPriority(flow.id, PriorityFor(flow.remaining_bits));
+  flow_sim_->AssignFlowPriorities([this](const ActiveFlow& flow) {
+    return PriorityFor(flow.remaining_bits);
   });
 }
 

@@ -39,6 +39,7 @@ class HomaScheduler {
   // Priority class for a flow with `remaining_bits` left (exposed for tests):
   // class 0 is served first; sizes <= cutoff spread over classes
   // [0, num_priorities-2] on a geometric scale; larger flows share the last.
+  // Total: non-positive and NaN sizes map to class 0, +inf to the last.
   int PriorityFor(double remaining_bits) const;
 
  private:

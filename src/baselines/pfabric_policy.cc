@@ -17,8 +17,12 @@ PFabricScheduler::PFabricScheduler(FlowSimulator* flow_sim, PFabricConfig config
 }
 
 int PFabricScheduler::PriorityFor(double remaining_bits) const {
-  if (remaining_bits <= config_.min_bits) {
+  // The negated test also sends NaN to class 0; +inf has no finite log.
+  if (!(remaining_bits > config_.min_bits)) {
     return 0;
+  }
+  if (std::isinf(remaining_bits)) {
+    return config_.num_priorities - 1;
   }
   const double frac = (std::log(remaining_bits) - log_min_) / log_range_;
   const int cls = static_cast<int>(frac * (config_.num_priorities - 1)) + 1;
@@ -26,8 +30,8 @@ int PFabricScheduler::PriorityFor(double remaining_bits) const {
 }
 
 void PFabricScheduler::RefreshPriorities() {
-  flow_sim_->ForEachActiveFlow([this](const ActiveFlow& flow) {
-    flow_sim_->SetFlowPriority(flow.id, PriorityFor(flow.remaining_bits));
+  flow_sim_->AssignFlowPriorities([this](const ActiveFlow& flow) {
+    return PriorityFor(flow.remaining_bits);
   });
 }
 

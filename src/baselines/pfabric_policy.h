@@ -29,7 +29,8 @@ class PFabricScheduler {
   PFabricScheduler(FlowSimulator* flow_sim, PFabricConfig config = {});
 
   // Priority class for a flow with `remaining_bits` left: class 0 (served
-  // first) for the smallest flows, growing geometrically.
+  // first) for the smallest flows, growing geometrically. Total: non-positive
+  // and NaN sizes map to class 0, +inf to the last class.
   int PriorityFor(double remaining_bits) const;
 
  private:

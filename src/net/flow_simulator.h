@@ -52,9 +52,29 @@ class FlowSimulator {
   // Removes a flow before completion (no callback fires).
   void CancelFlow(FlowId id);
 
-  // Changes the strict-priority class of a flow (used by the Sincronia-like
-  // policy). Triggers reallocation.
+  // Changes the strict-priority class of one flow. Triggers reallocation.
   void SetFlowPriority(FlowId id, int priority);
+
+  // Sets every active flow's strict-priority class to `priority_of(flow)`,
+  // visiting flows in ascending id order. Only flows whose class changed
+  // stream a FlowQueueChanged delta; any change triggers reallocation. This
+  // is the write-back path of the priority policies (Homa, Sincronia,
+  // pFabric), which call it from their pre-allocate hooks.
+  template <typename Fn>
+  void AssignFlowPriorities(Fn&& priority_of) {
+    bool changed = false;
+    for (auto& [id, record] : flows_) {
+      const int priority = priority_of(static_cast<const ActiveFlow&>(record->flow));
+      if (record->flow.priority != priority) {
+        record->flow.priority = priority;
+        engine_->FlowQueueChanged(&record->flow);
+        changed = true;
+      }
+    }
+    if (changed) {
+      MarkDirty();
+    }
+  }
 
   // Changes the SL of every active flow of an application (used when a
   // controller re-clusters PLs). Triggers reallocation.
@@ -123,7 +143,7 @@ class FlowSimulator {
   // expansion saved); see AllocationEngineStats.
   const AllocationEngineStats& engine_stats() const { return engine_->stats(); }
 
-  // Visits every active flow in ascending id order without copying. Policies
+  // Visits every active flow in ascending id order without copying. Callers
   // may change flow attributes via SetFlowPriority / SetAppServiceLevel
   // during the visit, but must not start or cancel flows.
   template <typename Fn>

@@ -224,6 +224,29 @@ TEST_F(FlowSimulatorTest, ZeroRateFlowsDoNotDeadlockOthers) {
   EXPECT_NEAR(low_done, 2.0, 1e-6);
 }
 
+TEST_F(FlowSimulatorTest, AssignFlowPrioritiesReallocatesOnlyOnChange) {
+  StrictPriorityAllocator strict;
+  FlowSimulator sim(&scheduler_, &network_, &strict);
+  const FlowId first = sim.StartFlow(0, 0, 1, Gbps(10), 0, 0, nullptr);
+  const FlowId second = sim.StartFlow(1, 2, 1, Gbps(10), 0, 0, nullptr);
+  scheduler_.RunUntil(0.1);
+  EXPECT_NEAR(sim.FlowRate(first), Gbps(5), 1.0);
+  const uint64_t runs = sim.allocator_runs();
+
+  // Every flow already has class 0: nothing changes and nothing reallocates.
+  sim.AssignFlowPriorities([](const ActiveFlow&) { return 0; });
+  scheduler_.RunUntil(0.2);
+  EXPECT_EQ(sim.allocator_runs(), runs);
+
+  // Demote the second flow: the first takes the whole port.
+  sim.AssignFlowPriorities([&](const ActiveFlow& flow) { return flow.id == second ? 1 : 0; });
+  scheduler_.RunUntil(0.3);
+  EXPECT_EQ(sim.allocator_runs(), runs + 1);
+  EXPECT_NEAR(sim.FlowRate(first), Gbps(10), 1.0);
+  EXPECT_EQ(sim.FlowRate(second), 0.0);
+  scheduler_.Run();
+}
+
 // --- Failure handling on a fat-tree ------------------------------------------
 
 class FatTreeFailureTest : public ::testing::Test {

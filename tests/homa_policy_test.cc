@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/net/units.h"
 #include "src/sim/event_scheduler.h"
 
@@ -39,6 +41,20 @@ TEST_F(HomaTest, AllLargeFlowsShareBottomClass) {
 TEST_F(HomaTest, TinyFlowsGetTopClass) {
   HomaScheduler homa(&flow_sim_, {.num_priorities = 8, .cutoff_bits = Kilobytes(10)});
   EXPECT_EQ(homa.PriorityFor(Bytes(10)), 0);
+}
+
+TEST_F(HomaTest, PriorityForIsTotalOnEdgeInputs) {
+  // Non-positive, NaN and subnormal sizes once reached an out-of-range
+  // float-to-int cast (and, for 0, a signed overflow); they map to class 0.
+  HomaScheduler homa(&flow_sim_, {.num_priorities = 8, .cutoff_bits = Kilobytes(10)});
+  EXPECT_EQ(homa.PriorityFor(0.0), 0);
+  EXPECT_EQ(homa.PriorityFor(-0.0), 0);
+  EXPECT_EQ(homa.PriorityFor(-1.0), 0);
+  EXPECT_EQ(homa.PriorityFor(-std::numeric_limits<double>::infinity()), 0);
+  EXPECT_EQ(homa.PriorityFor(std::numeric_limits<double>::quiet_NaN()), 0);
+  EXPECT_EQ(homa.PriorityFor(std::numeric_limits<double>::denorm_min()), 0);
+  EXPECT_EQ(homa.PriorityFor(std::numeric_limits<double>::infinity()), 7);
+  EXPECT_EQ(homa.PriorityFor(std::numeric_limits<double>::max()), 7);
 }
 
 TEST_F(HomaTest, ShortMessageFinishesAheadOfBulkTransfer) {

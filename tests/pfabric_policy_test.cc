@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/net/units.h"
 #include "src/sim/event_scheduler.h"
 
@@ -36,6 +38,18 @@ TEST_F(PFabricTest, DifferentiatesLargeFlowsUnlikeHoma) {
   // different classes even though both are far beyond Homa's 10 KB cutoff.
   PFabricScheduler pfabric(&flow_sim_, {});
   EXPECT_LT(pfabric.PriorityFor(Megabytes(1)), pfabric.PriorityFor(Gigabytes(1)));
+}
+
+TEST_F(PFabricTest, PriorityForIsTotalOnEdgeInputs) {
+  // +inf and NaN once reached an out-of-range float-to-int cast. Non-positive
+  // and NaN sizes map to class 0, +inf to the last class.
+  PFabricScheduler pfabric(&flow_sim_, {});
+  EXPECT_EQ(pfabric.PriorityFor(0.0), 0);
+  EXPECT_EQ(pfabric.PriorityFor(-1.0), 0);
+  EXPECT_EQ(pfabric.PriorityFor(-std::numeric_limits<double>::infinity()), 0);
+  EXPECT_EQ(pfabric.PriorityFor(std::numeric_limits<double>::quiet_NaN()), 0);
+  EXPECT_EQ(pfabric.PriorityFor(std::numeric_limits<double>::infinity()), 31);
+  EXPECT_EQ(pfabric.PriorityFor(std::numeric_limits<double>::max()), 31);
 }
 
 TEST_F(PFabricTest, SrptShortFlowPreemptsLongFlow) {
