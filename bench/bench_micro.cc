@@ -10,11 +10,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/baselines/sincronia_policy.h"
@@ -279,6 +281,72 @@ void BM_ComponentBatchSolve(benchmark::State& state) {
                          static_cast<double>(engine->stats().recomputes));
 }
 BENCHMARK(BM_ComponentBatchSolve)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
+
+// Fig 8's shape: a 32-host 56 Gb/s single-switch star puts every flow into one
+// sharing component, so each reallocation re-solves all of them. 16 apps on
+// 4 SLs each spread 100 flows over 54 host pairs of their own, so the 1,600
+// flows fall into 864 classes (~1.85 flows per class), close to the ~2,000
+// flows in ~950 classes a fig8 reallocation sees. Each iteration is one flow
+// completing and its successor starting on the same pair (a fresh id, same
+// class), then one Recompute of the whole component.
+void BM_ChurnStar(benchmark::State& state) {
+  constexpr int kHosts = 32;
+  constexpr int kApps = 16;
+  constexpr int kPairsPerApp = 54;
+  constexpr int kFlowsPerApp = 100;
+  Network network(BuildSingleSwitchStar(kHosts, Gbps64(56)), 8);
+  network.SetCongestionModel(std::make_unique<FecnCongestionModel>(0.30));
+  for (int sl = 0; sl < kNumServiceLevels; ++sl) {
+    network.MapSlToQueueEverywhere(sl, sl % 8);
+  }
+  Rng rng(8);
+  std::vector<std::unique_ptr<ActiveFlow>> flows;
+  FlowId next_id = 1;
+  for (int app = 0; app < kApps; ++app) {
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    while (static_cast<int>(pairs.size()) < kPairsPerApp) {
+      const NodeId src = static_cast<NodeId>(rng.UniformInt(0, kHosts - 1));
+      const NodeId dst = static_cast<NodeId>(rng.UniformInt(0, kHosts - 1));
+      const std::pair<NodeId, NodeId> pair{src, dst};
+      if (src != dst && std::find(pairs.begin(), pairs.end(), pair) == pairs.end()) {
+        pairs.push_back(pair);
+      }
+    }
+    for (int i = 0; i < kFlowsPerApp; ++i) {
+      const auto& [src, dst] = pairs[static_cast<size_t>(i % kPairsPerApp)];
+      auto flow = std::make_unique<ActiveFlow>();
+      flow->id = next_id++;
+      flow->app = static_cast<AppId>(app);
+      flow->sl = app % 4;
+      flow->remaining_bits = Gigabytes(1);
+      flow->path = &network.router().Route(src, dst, 0);
+      flows.push_back(std::move(flow));
+    }
+  }
+  WfqMaxMinAllocator allocator;
+  std::unique_ptr<AllocationEngine> engine = allocator.CreateEngine(&network);
+  for (const auto& flow : flows) {
+    engine->FlowAdded(flow.get());
+  }
+  engine->Recompute();
+  const AllocationEngineStats before = engine->stats();
+  size_t next = 0;
+  for (auto _ : state) {
+    ActiveFlow* flow = flows[next].get();
+    next = (next + 1) % flows.size();
+    engine->FlowRemoved(flow);
+    flow->id = next_id++;
+    engine->FlowAdded(flow);
+    engine->Recompute();
+    benchmark::DoNotOptimize(flow->rate);
+  }
+  state.SetItemsProcessed(state.iterations());  // One reallocation per iteration.
+  const AllocationEngineStats& stats = engine->stats();
+  state.counters["flows_per_class"] =
+      benchmark::Counter(static_cast<double>(stats.flows_rerated - before.flows_rerated) /
+                         static_cast<double>(stats.classes_rerated - before.classes_rerated));
+}
+BENCHMARK(BM_ChurnStar)->Unit(benchmark::kMicrosecond);
 
 // --- Eq 2 weight solver vs application count ---------------------------------
 

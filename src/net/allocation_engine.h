@@ -10,17 +10,30 @@
 // link-sharing graph and re-runs progressive filling only over those
 // components. Flows outside the dirty components keep their previous rates.
 //
+// Flow classes: the engine files every registered flow under its class — the
+// flows with the same path (by content), app, SL, priority and quantized
+// intra weight — and solves each component over classes with a multiplicity
+// m instead of over flows, then writes the class rate to every member.
+// Members of a class cross the same resources with the same weight, so the
+// per-flow fill would freeze them in the same batch at the same floor, and
+// every aggregate it forms (weight sums, flow counts, claimed capacity) is an
+// integer sum in which the class contributes m equal terms. The class solve
+// is therefore the per-flow solve, not an approximation of it (DESIGN.md
+// §7.1). On a single-switch star (Fig 8) ~2,000 flows per component fall into
+// ~950 classes.
+//
 // Exactness, not approximation: two flows can influence each other's rates
 // only through a chain of shared links, so a connected component of the
 // link <-> flow sharing graph is a self-contained allocation subproblem. Both
 // the engine and the from-scratch path (AllocateFromScratch, which backs
-// BandwidthAllocator::Allocate) decompose the fabric into components
-// and solve each with the same code. The solve itself is fixed-point integer
-// arithmetic (units.h Bps64 + WeightUnits): rates are exact 128-bit floors of
-// rational water levels and every aggregate is a commutative integer sum, so
-// a component's rates are a pure function of its flow *multiset* — no flow
-// ordering, summation order, or tie-break exists to discipline (DESIGN.md
-// §7.1). Incremental and from-scratch rates are therefore bit-identical by
+// BandwidthAllocator::Allocate and passes every flow as its own class, m = 1)
+// decompose the fabric into components and solve each with the same code.
+// The solve itself is fixed-point integer arithmetic (units.h Bps64 +
+// WeightUnits): rates are exact 128-bit floors of rational water levels and
+// every aggregate is a commutative integer sum, so a component's rates are a
+// pure function of its flow *multiset* — no flow ordering, summation order,
+// or tie-break exists to discipline (DESIGN.md §7.1). Incremental (classes
+// with m > 1) and from-scratch (m = 1) rates are therefore bit-identical by
 // arithmetic — a property tests/allocation_engine_test.cc enforces under
 // randomized churn. InvalidateAll() remains as the full-recompute fallback
 // (and is what RequestReallocate maps to when the changed ports are unknown).
@@ -55,6 +68,8 @@ namespace saba {
 // scratch arenas, the partition scratch, and the (lazily created) worker
 // pool. Opaque — defined in allocation_engine.cc.
 struct EngineSolveState;
+// One flow class (key, members, solved rate). Defined in allocation_engine.cc.
+struct FlowClass;
 
 // Counters exposed for benchmarks and the co-run report. flows_rerated vs
 // flow_events shows how much work the dirty-component expansion saved. The
@@ -67,6 +82,7 @@ struct AllocationEngineStats {
   uint64_t full_recomputes = 0;   // ... of which took the full fallback path.
   uint64_t components_solved = 0; // Connected components re-solved.
   uint64_t flows_rerated = 0;     // Flow rates recomputed, summed over solves.
+  uint64_t classes_rerated = 0;   // Flow classes solved, summed like flows_rerated.
   uint64_t flows_frozen = 0;      // Flows whose rates were left untouched.
   uint64_t parallel_solves = 0;   // Component batches fanned across the pool.
   uint64_t parallel_components = 0;  // Components solved inside those batches.
@@ -85,12 +101,13 @@ class AllocationEngine {
   AllocationEngine& operator=(const AllocationEngine&) = delete;
 
   // Adaptive serial fallback: a multi-component batch is fanned across the
-  // pool only when it re-rates at least this many flows in total. Pool
-  // dispatch costs a few microseconds — ~4x the whole solve on the one- and
-  // two-component batches typical of steady-state churn (BENCH_micro.json's
-  // BM_ChurnIncrementalParallel rows) — while batches past this size (full
-  // recomputes, re-clusterings) amortize it easily. The threshold keeps the
-  // dispatch decision a pure function of the delta stream and solve_jobs.
+  // pool only when it re-rates at least this many flows (not classes) in
+  // total. Pool dispatch costs a few microseconds — ~4x the whole solve on
+  // the one- and two-component batches typical of steady-state churn
+  // (BENCH_micro.json's BM_ChurnIncrementalParallel rows) — while batches
+  // past this size (full recomputes, re-clusterings) amortize it easily. The
+  // threshold keeps the dispatch decision a pure function of the delta
+  // stream and solve_jobs.
   static constexpr size_t kMinParallelBatchFlows = 64;
 
   // Component-parallel solving (DESIGN.md §7.3): when a solve touches more
@@ -110,7 +127,11 @@ class AllocationEngine {
   void FlowAdded(ActiveFlow* flow);
   void FlowRemoved(ActiveFlow* flow);
   // The flow moved queues in place: its sl, priority, or intra_weight
-  // changed. (A path change requires FlowRemoved + FlowAdded.)
+  // changed. (A path change requires FlowRemoved + FlowAdded.) This call is
+  // mandatory after any such change: it moves the flow to the class of its
+  // new key. A flow changed without it would keep being solved under its old
+  // class, so the write-back of its component's next solve asserts that every
+  // member still matches its class key.
   void FlowQueueChanged(ActiveFlow* flow);
   // The PortConfig of `link` changed (queue count, SL map, weights).
   void PortConfigChanged(LinkId link);
@@ -128,30 +149,60 @@ class AllocationEngine {
   // add or remove flows.
   template <typename Fn>
   void ForEachFlow(Fn&& fn) const {
-    for (const auto& [id, flow] : flows_) {
-      fn(static_cast<const ActiveFlow&>(*flow));
+    for (const auto& [id, entry] : flows_) {
+      fn(static_cast<const ActiveFlow&>(*entry.flow));
     }
   }
 
   size_t flow_count() const { return flows_.size(); }
+  // Live flow classes: the distinct (path, app, SL, priority, quantized
+  // intra weight) keys among registered flows.
+  size_t class_count() const { return live_classes_; }
   const AllocationEngineStats& stats() const { return stats_; }
 
  private:
+  friend struct FlowClass;  // Its member list points back at FlowEntry records.
+
+  // The registry entry for one flow: the flow, the index of its class
+  // record, and its position in that class's member list.
+  struct FlowEntry {
+    ActiveFlow* flow = nullptr;
+    int32_t cls = -1;
+    int32_t member = -1;
+  };
+
   void MarkLinkDirty(LinkId link);
-  // Appends the flows of the component of `seed` reachable through shared
+  // Files the entry's flow under the class of its current key, creating the
+  // class if it has no live record.
+  void AttachFlow(FlowEntry* entry);
+  // Takes the entry's flow out of its class; a class left empty is retired
+  // and its record recycled.
+  void DetachFlow(FlowEntry* entry);
+  // Rebuilds the open-addressing class index at `size` slots (a power of 2).
+  void RehashClasses(size_t size);
+  // Appends the classes of the component of `seed` reachable through shared
   // links (each exactly once, in BFS discovery order — the solver does not
-  // care), marking links visited.
-  void CollectComponent(LinkId seed, std::vector<ActiveFlow*>* out);
+  // care), marking links visited. Returns the component's flow count.
+  size_t CollectComponent(LinkId seed, std::vector<FlowClass*>* out);
 
   const Network* net_;
   const AllocationDiscipline discipline_;
   const PerAppWeightFn per_app_weights_;
 
-  // id -> flow: the stable, canonically ordered flow index.
-  std::map<FlowId, ActiveFlow*> flows_;
-  // Per link: flows whose path crosses it (unordered; canonical order always
-  // comes from flow ids).
-  std::vector<std::vector<ActiveFlow*>> link_flows_;
+  // id -> entry: the stable, canonically ordered flow index.
+  std::map<FlowId, FlowEntry> flows_;
+
+  // Class registry. Records are recycled through free_classes_ (their member
+  // vectors keep their capacity), and class_index_ is an open-addressing,
+  // linear-probing hash table of live record indices (-1 = empty slot), so
+  // steady-state churn allocates nothing per class.
+  std::vector<FlowClass> classes_;
+  std::vector<int32_t> free_classes_;
+  std::vector<int32_t> class_index_;
+  size_t live_classes_ = 0;
+  // Per link: live classes whose path crosses it (unordered; canonical order
+  // always comes from flow ids).
+  std::vector<std::vector<int32_t>> link_classes_;
 
   std::vector<LinkId> dirty_links_;
   std::vector<uint8_t> link_dirty_;
@@ -161,7 +212,7 @@ class AllocationEngine {
   std::vector<uint8_t> link_visited_;
   std::vector<LinkId> visited_scratch_;
   std::vector<LinkId> bfs_queue_;
-  std::vector<ActiveFlow*> all_flows_scratch_;
+  std::vector<FlowClass*> all_classes_scratch_;
 
   // Solver arenas + worker pool (per-slot scratch; DESIGN.md §7.3).
   std::unique_ptr<EngineSolveState> solve_;

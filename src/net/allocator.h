@@ -56,6 +56,12 @@ inline constexpr FlowId kInvalidFlow = -1;
 inline constexpr AppId kInvalidApp = -1;
 
 // A flow currently in the fabric, as seen by the allocator.
+//
+// While a flow is registered with an AllocationEngine, its path, app, sl,
+// priority and intra_weight form its flow-class key (allocation_engine.h).
+// Change sl, priority or intra_weight only together with a FlowQueueChanged
+// call, and app or path only by FlowRemoved + FlowAdded. The engine asserts
+// that every flow it re-rates still matches its class key.
 struct ActiveFlow {
   FlowId id = kInvalidFlow;
   AppId app = kInvalidApp;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <ostream>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/net/allocator.h"
@@ -241,6 +245,230 @@ INSTANTIATE_TEST_SUITE_P(
         ChurnCase{"strict_fecn", AllocationDiscipline::kStrictPriority, true, 15},
         ChurnCase{"strict_ideal", AllocationDiscipline::kStrictPriority, false, 16}),
     [](const ::testing::TestParamInfo<ChurnCase>& info) { return std::string(info.param.name); });
+
+// Class-heavy churn: the engine solves over flow classes (same path, app, SL,
+// priority and quantized intra weight) with a multiplicity m, while the
+// from-scratch oracle passes every flow as its own class (m = 1). On a
+// 4-host star with 2 apps x 2 SLs x 2 priorities x 2 weights, ~300 live flows
+// share ~100 keys, so classes hold several members and the m > 1 arithmetic
+// is checked against the per-flow arithmetic after every event. Hosts 0-2
+// exchange routed two-link flows; host 3's uplink and downlink each carry
+// flows whose path is that one link, so the single-link closed form sees
+// classes too. The mix moves flows between live classes, drains whole
+// classes and refills them, reconfigures ports and invalidates everything.
+struct ClassChurnCase {
+  const char* name;
+  AllocationDiscipline discipline;
+  bool fecn;
+  uint64_t seed;
+};
+
+// Names the case in gtest output by its label, not by its raw bytes (which
+// hold a string address and so change from build to build).
+void PrintTo(const ClassChurnCase& c, std::ostream* os) {
+  *os << "ClassChurnCase{" << c.name << "}";
+}
+
+class EngineClassChurnTest : public ::testing::TestWithParam<ClassChurnCase> {};
+
+TEST_P(EngineClassChurnTest, ClassSolveMatchesPerFlowSolveBitExact) {
+  const ClassChurnCase& c = GetParam();
+  Network network(BuildSingleSwitchStar(4, Gbps64(56)), /*default_queues=*/4);
+  for (int sl = 0; sl < kNumServiceLevels; ++sl) {
+    network.MapSlToQueueEverywhere(sl, sl % 4);
+  }
+  if (c.fecn) {
+    network.SetCongestionModel(std::make_unique<FecnCongestionModel>(0.30));
+  }
+  const PerAppWeightFn weights =
+      c.discipline == AllocationDiscipline::kPerAppQueues ? PerAppWeight : PerAppWeightFn();
+  AllocationEngine engine(&network, c.discipline, weights);
+  const std::vector<NodeId> hosts = network.topology().Hosts();
+  const size_t num_links = network.topology().num_links();
+
+  // Each flow owns a copy of its route, so members of one class carry
+  // distinct path pointers with equal contents.
+  struct Live {
+    std::unique_ptr<ActiveFlow> flow;
+    std::vector<LinkId> path;
+  };
+  std::map<FlowId, Live> live;
+  std::vector<FlowId> live_ids;
+  FlowId next_id = 1;
+  Rng rng(c.seed);
+
+  const std::vector<NodeId> routed_hosts = {hosts[0], hosts[1], hosts[2]};
+  const std::vector<LinkId> host3_up = {network.router().Route(hosts[3], hosts[0], 0).front()};
+  const std::vector<LinkId> host3_down = {network.router().Route(hosts[0], hosts[3], 0).back()};
+  auto start = [&](const std::vector<LinkId>& path, AppId app, int sl, int priority,
+                   double weight) {
+    Live& entry = live[next_id];
+    entry.flow = std::make_unique<ActiveFlow>();
+    entry.path = path;
+    ActiveFlow& flow = *entry.flow;
+    flow.id = next_id++;
+    flow.app = app;
+    flow.sl = sl;
+    flow.priority = priority;
+    flow.intra_weight = weight;
+    flow.remaining_bits = rng.Uniform(1e6, 1e9);
+    flow.path = &entry.path;
+    engine.FlowAdded(&flow);
+    live_ids.push_back(flow.id);
+  };
+  auto cancel = [&](FlowId id) {
+    const auto pos = std::find(live_ids.begin(), live_ids.end(), id);
+    ASSERT_NE(pos, live_ids.end());
+    *pos = live_ids.back();
+    live_ids.pop_back();
+    engine.FlowRemoved(live.at(id).flow.get());
+    live.erase(id);
+  };
+  auto same_class = [](const ActiveFlow& a, const ActiveFlow& b) {
+    return *a.path == *b.path && a.app == b.app && a.sl == b.sl && a.priority == b.priority &&
+           WeightUnits(a.intra_weight) == WeightUnits(b.intra_weight);
+  };
+
+  std::vector<ActiveFlow> oracle;
+  std::vector<ActiveFlow*> oracle_ptrs;
+  int checks = 0;
+  auto check = [&](const char* what) {
+    engine.Recompute();
+    oracle.clear();
+    oracle_ptrs.clear();
+    oracle.reserve(live.size());
+    for (const auto& [id, entry] : live) {
+      oracle.push_back(*entry.flow);
+    }
+    for (ActiveFlow& flow : oracle) {
+      oracle_ptrs.push_back(&flow);
+    }
+    AllocateFromScratch(oracle_ptrs, network, c.discipline, weights);
+    std::set<std::tuple<std::vector<LinkId>, AppId, int, int, int64_t>> keys;
+    for (const ActiveFlow& expect : oracle) {
+      ASSERT_EQ(expect.rate, live.at(expect.id).flow->rate)
+          << "check " << checks << " (" << what << ") flow " << expect.id
+          << " diverged from the per-flow oracle";
+      keys.emplace(*expect.path, expect.app, expect.sl, expect.priority,
+                   WeightUnits(expect.intra_weight));
+    }
+    ASSERT_EQ(engine.class_count(), keys.size())
+        << "check " << checks << " (" << what << "): one live class per distinct key";
+    ++checks;
+  };
+
+  constexpr int kEvents = 3000;
+  for (int e = 0; e < kEvents; ++e) {
+    const double start_w = live.size() < 300 ? 0.50 : 0.25;
+    const double cancel_w = live.size() < 300 ? 0.15 : 0.35;
+    const size_t op = live.empty()
+                          ? 0
+                          : rng.WeightedIndex({start_w, cancel_w, 0.20, 0.04, 0.08, 0.03});
+    switch (op) {
+      case 0: {  // Start a flow with a random key.
+        std::vector<LinkId> path;
+        if (rng.Bernoulli(0.2)) {
+          path = rng.Bernoulli(0.5) ? host3_up : host3_down;
+        } else {
+          const NodeId src = rng.Choice(routed_hosts);
+          NodeId dst = rng.Choice(routed_hosts);
+          while (dst == src) {
+            dst = rng.Choice(routed_hosts);
+          }
+          path = network.router().Route(src, dst, 0);
+        }
+        start(path, static_cast<AppId>(rng.UniformInt(0, 1)),
+              static_cast<int>(rng.UniformInt(0, 1)), static_cast<int>(rng.UniformInt(0, 1)),
+              rng.Bernoulli(0.3) ? 0.0625 : 1.0);
+        check("start");
+        break;
+      }
+      case 1:  // Cancel a flow.
+        cancel(rng.Choice(live_ids));
+        check("cancel");
+        break;
+      case 2: {  // Move a flow into another key; with 16 keys per path, usually a live class.
+        ActiveFlow* flow = live.at(rng.Choice(live_ids)).flow.get();
+        switch (rng.UniformInt(0, 2)) {
+          case 0:
+            flow->sl = 1 - flow->sl;
+            break;
+          case 1:
+            flow->priority = 1 - flow->priority;
+            break;
+          default:
+            flow->intra_weight = flow->intra_weight == 1.0 ? 0.0625 : 1.0;
+            break;
+        }
+        engine.FlowQueueChanged(flow);
+        check("queue move");
+        break;
+      }
+      case 3: {  // Drain a whole class flow by flow, then refill it.
+        const ActiveFlow proto = *live.at(rng.Choice(live_ids)).flow;
+        const std::vector<LinkId> proto_path = *proto.path;
+        std::vector<FlowId> members;
+        for (const auto& [id, entry] : live) {
+          if (same_class(*entry.flow, proto)) {
+            members.push_back(id);
+          }
+        }
+        for (const FlowId id : members) {
+          cancel(id);
+          check("drain");
+        }
+        for (size_t k = 0; k < members.size() + 1; ++k) {
+          start(proto_path, proto.app, proto.sl, proto.priority, proto.intra_weight);
+          check("refill");
+        }
+        break;
+      }
+      case 4: {  // Reconfigure one port.
+        const LinkId link =
+            static_cast<LinkId>(rng.UniformInt(0, static_cast<int64_t>(num_links) - 1));
+        PortConfig& port = network.port(link);
+        if (rng.Bernoulli(0.5)) {
+          const int sl = static_cast<int>(rng.UniformInt(0, 1));
+          port.sl_to_queue[static_cast<size_t>(sl)] =
+              static_cast<int>(rng.UniformInt(0, port.num_queues - 1));
+        } else {
+          const size_t q = static_cast<size_t>(rng.UniformInt(0, port.num_queues - 1));
+          port.queue_weights[q] = rng.Uniform(0.1, 2.0);
+        }
+        engine.PortConfigChanged(link);
+        check("port reconfig");
+        break;
+      }
+      default:
+        engine.InvalidateAll();
+        check("invalidate all");
+        break;
+    }
+  }
+
+  const AllocationEngineStats& stats = engine.stats();
+  EXPECT_GT(stats.full_recomputes, 0u);
+  EXPECT_GT(stats.classes_rerated, 0u);
+  EXPECT_LT(stats.classes_rerated, stats.flows_rerated)
+      << "no solve ever saw a class with more than one member";
+  // The fixture is built to be class-heavy: on average well over one flow
+  // per solved class.
+  EXPECT_GT(static_cast<double>(stats.flows_rerated),
+            1.5 * static_cast<double>(stats.classes_rerated));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDisciplines, EngineClassChurnTest,
+    ::testing::Values(
+        ClassChurnCase{"wfq_fecn", AllocationDiscipline::kWfqSlQueues, true, 31},
+        ClassChurnCase{"wfq_ideal", AllocationDiscipline::kWfqSlQueues, false, 32},
+        ClassChurnCase{"perapp_fecn", AllocationDiscipline::kPerAppQueues, true, 33},
+        ClassChurnCase{"perapp_ideal", AllocationDiscipline::kPerAppQueues, false, 34},
+        ClassChurnCase{"strict_fecn", AllocationDiscipline::kStrictPriority, true, 35},
+        ClassChurnCase{"strict_ideal", AllocationDiscipline::kStrictPriority, false, 36}),
+    [](const ::testing::TestParamInfo<ClassChurnCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // The integer solve's headline property (DESIGN.md §7.1): rates are a pure
 // function of the flow *multiset*. Feed AllocateFromScratch the same flows in
@@ -745,6 +973,71 @@ TEST(AllocationEngineStatsTest, ParallelCountersAgreeAcrossSolveJobs) {
   for (size_t i = 0; i + 1 < flows.size(); i += 2) {
     EXPECT_EQ(flows[i]->rate, flows[i + 1]->rate) << "flow " << flows[i]->id;
   }
+}
+
+// classes_rerated counts solve units, flows_rerated the flows behind them:
+// flows with one key share a class, and FlowQueueChanged moves a flow out.
+TEST(AllocationEngineStatsTest, ClassesCountSharedKeysOnce) {
+  Network network(BuildSingleSwitchStar(4, Gbps64(10)), /*default_queues=*/2);
+  AllocationEngine engine(&network, AllocationDiscipline::kWfqSlQueues);
+  const std::vector<LinkId>& path = network.router().Route(0, 1, 0);
+  std::vector<std::unique_ptr<ActiveFlow>> flows;
+  for (FlowId id = 1; id <= 3; ++id) {
+    auto flow = std::make_unique<ActiveFlow>();
+    flow->id = id;
+    flow->app = 7;
+    flow->remaining_bits = Gbps(10);
+    flow->path = &path;
+    engine.FlowAdded(flow.get());
+    flows.push_back(std::move(flow));
+  }
+  engine.Recompute();
+  EXPECT_EQ(engine.stats().flows_rerated, 3u);
+  EXPECT_EQ(engine.stats().classes_rerated, 1u);
+  EXPECT_EQ(flows[0]->rate, flows[2]->rate);
+
+  flows[2]->sl = 1;
+  engine.FlowQueueChanged(flows[2].get());
+  engine.Recompute();
+  EXPECT_EQ(engine.stats().flows_rerated, 6u);
+  EXPECT_EQ(engine.stats().classes_rerated, 3u);
+
+  engine.FlowRemoved(flows[0].get());
+  engine.InvalidateAll();
+  engine.Recompute();
+  EXPECT_EQ(engine.stats().flows_rerated, 8u);
+  EXPECT_EQ(engine.stats().classes_rerated, 5u);
+
+  std::vector<ActiveFlow> oracle = {*flows[1], *flows[2]};
+  std::vector<ActiveFlow*> ptrs = {&oracle[0], &oracle[1]};
+  AllocateFromScratch(ptrs, network, AllocationDiscipline::kWfqSlQueues);
+  EXPECT_EQ(flows[1]->rate, oracle[0].rate);
+  EXPECT_EQ(flows[2]->rate, oracle[1].rate);
+}
+
+// A flow whose key changes without FlowQueueChanged would be solved under its
+// old class forever; the write-back of the next solve of its component
+// asserts instead.
+TEST(AllocationEngineDeathTest, KeyChangedWithoutFlowQueueChangedAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Network network(BuildSingleSwitchStar(4, Gbps64(10)), /*default_queues=*/2);
+  AllocationEngine engine(&network, AllocationDiscipline::kWfqSlQueues);
+  auto make_flow = [&](FlowId id) {
+    auto flow = std::make_unique<ActiveFlow>();
+    flow->id = id;
+    flow->app = 1;
+    flow->remaining_bits = Gbps(10);
+    flow->path = &network.router().Route(0, 1, 0);
+    return flow;
+  };
+  auto a = make_flow(1);
+  auto b = make_flow(2);
+  engine.FlowAdded(a.get());
+  engine.Recompute();
+
+  a->sl = 1;  // Not notified.
+  engine.FlowAdded(b.get());  // Dirties a's component.
+  EXPECT_DEATH(engine.Recompute(), "without FlowQueueChanged");
 }
 
 }  // namespace
