@@ -142,7 +142,7 @@ UniverseResult RunUniverse(const Topology& topo, const SensitivityTable& table,
   options.base.seed = controller_seed;
   options.num_shards = shards;
   options.shard_jobs = shards;
-  DistributedController controller(&network, &flow_sim, &table, database, options);
+  CentralizedController controller(&network, &flow_sim, &table, database, options);
 
   const auto settle = [&] { scheduler.RunUntil(scheduler.Now() + 1e-9); };
   const auto arrive = [&](const JobSpec& job) {
@@ -171,8 +171,8 @@ UniverseResult RunUniverse(const Topology& topo, const SensitivityTable& table,
 
   result.digest = controller.StateDigest();
   result.port_reconfigurations = controller.stats().port_reconfigurations;
-  result.flushes = controller.distributed_stats().flushes;
-  result.ports_flushed = controller.distributed_stats().ports_flushed;
+  result.flushes = controller.stats().flushes;
+  result.ports_flushed = controller.stats().ports_flushed;
   result.conn_creates = controller.stats().conn_creates;
   return result;
 }

@@ -22,9 +22,11 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
-#include "src/core/controller.h"
+#include "src/core/distributed_controller.h"
 #include "src/core/solve_cache.h"
 #include "src/exp/report.h"
 #include "src/net/units.h"
@@ -33,16 +35,6 @@
 
 namespace saba {
 namespace {
-
-// Exposes the static-registration path so scenario construction does not pay
-// for per-registration K-means (the profiler performs the clustering offline
-// in this experiment, as in §5.4).
-class BenchController : public CentralizedController {
- public:
-  using CentralizedController::CentralizedController;
-  using CentralizedController::InstallPlModels;
-  using CentralizedController::RegisterAppStatic;
-};
 
 // Random convex decreasing polynomial of degree k in (1-b): slope, curvature
 // and cubic term all non-negative keeps D convex and non-increasing in b.
@@ -74,11 +66,13 @@ ScenarioResult RunScenario(const Topology& topo, int num_apps, size_t degree,
   options.num_pls = 8;
   options.solve_cache = solve_cache;
   options.seed = rng->Next();
-  BenchController controller(&network, &flow_sim, &table, options);
 
-  // Offline PL geometry over the scenario's models. Each app's model also
-  // goes into the sensitivity table under its registration name: Eq 2 must
-  // solve the scenario's degree-k polynomials, not a default model per app.
+  // Offline PL geometry over the scenario's models, as an offline database
+  // so scenario construction does not pay for per-registration K-means (the
+  // profiler clusters offline in this experiment, as in §5.4). Each app's
+  // model also goes into the sensitivity table under its registration name:
+  // Eq 2 must solve the scenario's degree-k polynomials, not a default model
+  // per app.
   std::vector<SensitivityModel> models;
   for (int a = 0; a < num_apps; ++a) {
     models.push_back(RandomModel(degree, rng));
@@ -88,11 +82,17 @@ ScenarioResult RunScenario(const Topology& topo, int num_apps, size_t degree,
   }
   Rng cluster_rng(rng->Next());
   const PlMapping mapping = MapAppsToPls(models, options.num_pls, &cluster_rng);
-  controller.InstallPlModels(mapping.pl_models);
+  MappingDatabase database;
+  database.pl_models = mapping.pl_models;
+  for (int a = 0; a < num_apps; ++a) {
+    database.workload_to_pl["app" + std::to_string(a)] = mapping.app_to_pl[a];
+  }
+  CentralizedController controller(&network, &flow_sim, &table, std::move(database),
+                                   {.base = options, .num_shards = 1});
 
   const std::vector<NodeId> hosts = network.topology().Hosts();
   for (int a = 0; a < num_apps; ++a) {
-    controller.RegisterAppStatic(a, "app" + std::to_string(a), mapping.app_to_pl[a]);
+    controller.AppRegister(a, "app" + std::to_string(a));
     // 32 instances, ring connections with fanout 4 (as in §8.5's scenarios).
     std::vector<NodeId> placement;
     for (int i = 0; i < 32; ++i) {

@@ -435,13 +435,6 @@ BENCHMARK(BM_QueueMapperPort)->Arg(2)->Arg(4)->Arg(8);
 
 // --- Controller flush (signature-keyed solve cache, DESIGN.md §7.2) ----------
 
-class FlushBenchController : public CentralizedController {
- public:
-  using CentralizedController::CentralizedController;
-  using CentralizedController::InstallPlModels;
-  using CentralizedController::RegisterAppStatic;
-};
-
 // A fig12-style scenario on a small spine-leaf fabric: 48 apps with distinct
 // convex models, 32 instances each, fanout-4 ring connections. The scheduler
 // never runs, so all controller work lands in the timed recompute.
@@ -468,13 +461,18 @@ struct ControllerFlushFixture {
     }
     ControllerOptions options;
     options.solve_cache = solve_cache;
-    controller.emplace(&network, &flow_sim, &table, options);
     Rng cluster_rng(11);
     const PlMapping mapping = MapAppsToPls(models, options.num_pls, &cluster_rng);
-    controller->InstallPlModels(mapping.pl_models);
+    MappingDatabase database;
+    database.pl_models = mapping.pl_models;
+    for (int a = 0; a < kApps; ++a) {
+      database.workload_to_pl["app" + std::to_string(a)] = mapping.app_to_pl[a];
+    }
+    controller.emplace(&network, &flow_sim, &table, std::move(database),
+                       DistributedControllerOptions{.base = options, .num_shards = 1});
     const std::vector<NodeId> hosts = network.topology().Hosts();
     for (int a = 0; a < kApps; ++a) {
-      controller->RegisterAppStatic(a, "app" + std::to_string(a), mapping.app_to_pl[a]);
+      controller->AppRegister(a, "app" + std::to_string(a));
       std::vector<NodeId> placement;
       for (int i = 0; i < 32; ++i) {
         placement.push_back(rng.Choice(hosts));
@@ -496,7 +494,7 @@ struct ControllerFlushFixture {
   WfqMaxMinAllocator allocator;
   FlowSimulator flow_sim;
   SensitivityTable table;
-  std::optional<FlushBenchController> controller;
+  std::optional<CentralizedController> controller;
 };
 
 void ControllerFlushBench(benchmark::State& state, bool solve_cache) {
@@ -575,7 +573,7 @@ struct DistributedFlushFixture {
   WfqMaxMinAllocator allocator;
   FlowSimulator flow_sim;
   SensitivityTable table;
-  std::optional<DistributedController> controller;
+  std::optional<CentralizedController> controller;
 };
 
 void BM_DistributedFlush(benchmark::State& state) {

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
+#include <utility>
 
+#include "src/core/distributed_controller.h"
 #include "src/sim/log.h"
 #include "src/sim/wallclock.h"
 
@@ -11,35 +14,77 @@ namespace saba {
 CentralizedController::CentralizedController(Network* network, FlowSimulator* flow_sim,
                                              const SensitivityTable* table,
                                              ControllerOptions options)
+    : CentralizedController(network, flow_sim, table, options, /*database=*/nullptr,
+                            /*num_shards=*/1, /*shard_jobs=*/1) {}
+
+CentralizedController::CentralizedController(Network* network, FlowSimulator* flow_sim,
+                                             const SensitivityTable* table,
+                                             MappingDatabase database,
+                                             DistributedControllerOptions options)
+    : CentralizedController(network, flow_sim, table, options.base,
+                            std::make_unique<const MappingDatabase>(std::move(database)),
+                            options.num_shards, options.shard_jobs) {}
+
+CentralizedController::CentralizedController(Network* network, FlowSimulator* flow_sim,
+                                             const SensitivityTable* table,
+                                             ControllerOptions options,
+                                             std::unique_ptr<const MappingDatabase> database,
+                                             int num_shards, int shard_jobs)
     : network_(network),
       flow_sim_(flow_sim),
       table_(table),
       options_(options),
+      database_(std::move(database)),
+      num_shards_(num_shards),
+      shard_jobs_(shard_jobs),
       solver_({.capacity = options.c_saba,
                .min_weight = options.min_weight,
                .relative_min_weight = options.relative_min_weight}),
-      rng_(options.seed),
-      solve_ctx_(options.solve_cache) {
+      rng_(options.seed) {
   assert(network_ != nullptr);
   assert(table_ != nullptr);
   assert(options_.num_pls >= 1 && options_.num_pls <= kNumServiceLevels);
   assert(options_.reserved_queues >= 0);
   assert(options_.control_plane_latency_seconds >= 0);
+  assert(num_shards_ >= 1);
+  assert(shard_jobs_ >= 1);
+  assert(database_ == nullptr || !database_->pl_models.empty());
+  // One solve context per shard. A database fixes the queue-map memo's PL
+  // geometry for good (§5.4); otherwise ReclusterPls installs it.
+  for (int s = 0; s < num_shards_; ++s) {
+    shard_ctxs_.emplace_back(options_.solve_cache);
+    if (database_ != nullptr) {
+      shard_ctxs_.back().mapper.emplace(database_->pl_models, options_.solve_cache);
+    }
+  }
+  shard_ports_.resize(static_cast<size_t>(num_shards_));
+  if (num_shards_ > 1) {
+    stats_.conn_setups_per_shard.assign(static_cast<size_t>(num_shards_), 0);
+  }
 }
+
+CentralizedController::~CentralizedController() = default;
 
 int CentralizedController::AppRegister(AppId app, const std::string& workload_name) {
   assert(apps_.find(app) == apps_.end() && "application already registered");
   ++stats_.registrations;
-  AppState state;
-  state.workload = workload_name;
   if (table_->Find(workload_name) == nullptr) {
     SABA_LOG_WARNING << "no sensitivity profile for workload '" << workload_name
                      << "'; treating it as bandwidth-insensitive";
   }
+  AppState& state = apps_[app];
   state.model = table_->ModelOrDefault(workload_name);
-  apps_.emplace(app, std::move(state));
-  ReclusterPls();
-  return apps_.at(app).pl;
+  if (database_ == nullptr) {
+    ReclusterPls();
+  } else {
+    // The offline database fixes the PL; nothing re-clusters (§5.4).
+    state.pl = database_->PlForWorkload(workload_name);
+    assert(state.pl >= 0 && state.pl < options_.num_pls);
+    if (flow_sim_ != nullptr) {
+      flow_sim_->SetAppServiceLevel(app, state.pl);
+    }
+  }
+  return state.pl;
 }
 
 void CentralizedController::AppDeregister(AppId app) {
@@ -48,7 +93,7 @@ void CentralizedController::AppDeregister(AppId app) {
   assert(it->second.connections == 0 && "deregistering with live connections");
   ++stats_.deregistrations;
   apps_.erase(it);
-  if (!apps_.empty()) {
+  if (database_ == nullptr && !apps_.empty()) {
     ReclusterPls();
   }
 }
@@ -62,15 +107,26 @@ void CentralizedController::ConnCreate(AppId app, NodeId src, NodeId dst, uint64
   ++it->second.connections;
 
   const std::vector<LinkId>& path = network_->router().Route(src, dst, path_salt);
-  std::vector<LinkId> dirty;
+  if (num_shards_ > 1 && !path.empty()) {
+    // Shard message accounting (§5.4): the library contacts the shard owning
+    // the first port; each shard boundary along the path costs one forward.
+    int prev = ShardOfPort(path.front());
+    ++stats_.conn_setups_per_shard[static_cast<size_t>(prev)];
+    for (LinkId link : path) {
+      const int shard = ShardOfPort(link);
+      if (shard != prev) {
+        ++stats_.cross_shard_messages;
+        prev = shard;
+      }
+    }
+  }
   for (LinkId link : path) {
     port_apps_[link][app] += 1;
-    dirty.push_back(link);
   }
   // Snapshot the accounted path: a later failure may reroute this pair, and
   // ConnDestroy must release exactly these ports (see conn_paths_).
   conn_paths_[std::make_tuple(app, src, dst, path_salt)].push_back(path);
-  MarkPortsDirty(dirty);
+  MarkPortsDirty(path);
 }
 
 void CentralizedController::ConnDestroy(AppId app, NodeId src, NodeId dst, uint64_t path_salt) {
@@ -108,47 +164,31 @@ void CentralizedController::ConnDestroy(AppId app, NodeId src, NodeId dst, uint6
   MarkPortsDirty(dirty);
 }
 
-void CentralizedController::RegisterAppStatic(AppId app, const std::string& workload_name,
-                                              int pl) {
-  assert(apps_.find(app) == apps_.end() && "application already registered");
-  assert(pl >= 0 && pl < options_.num_pls);
-  ++stats_.registrations;
-  AppState state;
-  state.workload = workload_name;
-  state.model = table_->ModelOrDefault(workload_name);
-  state.pl = pl;
-  apps_.emplace(app, std::move(state));
-}
-
-void CentralizedController::InstallPlModels(const std::vector<SensitivityModel>& pl_models) {
-  solve_ctx_.mapper.emplace(pl_models, options_.solve_cache);
-}
-
 void CentralizedController::ReclusterPls() {
+  assert(database_ == nullptr);
   assert(!apps_.empty());
   ++stats_.pl_reclusterings;
 
-  std::vector<AppId> ids;
   std::vector<SensitivityModel> models;
-  ids.reserve(apps_.size());
   models.reserve(apps_.size());
   for (const auto& [id, state] : apps_) {
-    ids.push_back(id);
     models.push_back(state.model);
   }
-
   const PlMapping mapping = MapAppsToPls(models, options_.num_pls, &rng_);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    apps_.at(ids[i]).pl = mapping.app_to_pl[i];
+  auto pl = mapping.app_to_pl.begin();
+  for (auto& [id, state] : apps_) {
+    state.pl = *pl++;
     if (flow_sim_ != nullptr) {
-      flow_sim_->SetAppServiceLevel(ids[i], mapping.app_to_pl[i]);
+      flow_sim_->SetAppServiceLevel(id, state.pl);
     }
   }
   // Rebuilding the mapper is the queue-map memo's epoch invalidation: the PL
   // geometry its keys refer to is gone. The Eq-2 solve cache survives — its
   // entries are keyed by the full solver input (the model multiset), which
   // re-clustering does not change.
-  solve_ctx_.mapper.emplace(mapping.pl_models, options_.solve_cache);
+  for (PortSolveContext& ctx : shard_ctxs_) {
+    ctx.mapper.emplace(mapping.pl_models, options_.solve_cache);
+  }
 
   // PL geometry changed; every active port needs a fresh mapping.
   std::vector<LinkId> dirty;
@@ -174,39 +214,92 @@ void CentralizedController::MarkPortsDirty(const std::vector<LinkId>& links) {
   }
 }
 
-void CentralizedController::DrainContextStats(PortSolveContext* ctx) {
-  stats_.port_reconfigurations += ctx->reconfigurations;
-  stats_.eq2_cache_hits += ctx->cache_hits;
-  stats_.eq2_cache_misses += ctx->cache_misses;
-  ctx->reconfigurations = 0;
-  ctx->cache_hits = 0;
-  ctx->cache_misses = 0;
-}
-
-void CentralizedController::FinishFlush(double elapsed_seconds) {
-  stats_.last_calc_wall_seconds = elapsed_seconds;
-  stats_.total_calc_wall_seconds += elapsed_seconds;
-  if (flow_sim_ != nullptr) {
-    flow_sim_->RequestReallocate();
-  }
-}
-
 void CentralizedController::FlushDirtyPorts() {
   if (dirty_ports_.empty()) {
     return;
   }
   Stopwatch watch;
-  // Ascending link order: deterministic across platforms (unordered_set
-  // iteration order is implementation-defined) and cache-friendly. Results
-  // do not depend on it — solves are keyed by signature, not history.
-  flush_order_.assign(dirty_ports_.begin(), dirty_ports_.end());
-  std::sort(flush_order_.begin(), flush_order_.end());
-  for (LinkId link : flush_order_) {
-    ReallocatePort(link, &solve_ctx_);
+
+  // Batch the dirty set per owning shard, each batch in ascending link order
+  // (unordered_set order is implementation-defined). Results do not depend
+  // on the order: solves are keyed by signature, and shards own disjoint
+  // ports. At one shard this is the serial ascending-link walk.
+  for (LinkId link : dirty_ports_) {
+    shard_ports_[static_cast<size_t>(ShardOfPort(link))].push_back(link);
   }
   dirty_ports_.clear();
-  DrainContextStats(&solve_ctx_);
-  FinishFlush(watch.ElapsedSeconds());
+
+  dirty_shards_.clear();
+  size_t dirty_count = 0;
+  for (int s = 0; s < num_shards_; ++s) {
+    std::vector<LinkId>& batch = shard_ports_[static_cast<size_t>(s)];
+    if (batch.empty()) {
+      continue;
+    }
+    std::sort(batch.begin(), batch.end());
+    dirty_shards_.push_back(s);
+    dirty_count += batch.size();
+  }
+  ++stats_.flushes;
+  stats_.ports_flushed += dirty_count;
+
+  // Adaptive dispatch (DESIGN.md §7.3): one pool task per dirty shard, or
+  // the caller thread for a small batch. The decision is a pure function of
+  // the delta stream, num_shards, and shard_jobs, never of thread timing.
+  const bool fan_out =
+      shard_jobs_ > 1 && dirty_shards_.size() > 1 && dirty_count >= kMinParallelFlushPorts;
+  const auto flush_shard = [this](int shard) {
+    PortSolveContext* ctx = &shard_ctxs_[static_cast<size_t>(shard)];
+    for (const LinkId link : shard_ports_[static_cast<size_t>(shard)]) {
+      ReallocatePort(link, ctx);
+    }
+  };
+  if (fan_out) {
+    ++stats_.parallel_flushes;
+    // Pre-create each active port's weight slot serially: the workers then
+    // only rewrite per-port vectors, never the shared map's structure.
+    for (const int s : dirty_shards_) {
+      for (const LinkId link : shard_ports_[static_cast<size_t>(s)]) {
+        if (port_apps_.find(link) != port_apps_.end()) {
+          (void)port_weights_[link];
+        }
+      }
+    }
+    if (pool_ == nullptr) {
+      pool_ = std::make_unique<WorkerPool>(shard_jobs_);
+    }
+    pool_->Run(dirty_shards_.size(), [this, flush_shard](size_t index, int /*slot*/) {
+      flush_shard(dirty_shards_[index]);
+    });
+  } else {
+    for (const int shard : dirty_shards_) {
+      flush_shard(shard);
+    }
+  }
+
+  // Deterministic merge: drain per-shard counters in ascending shard order
+  // after the workers have joined, and leave every batch empty.
+  for (const int shard : dirty_shards_) {
+    shard_ports_[static_cast<size_t>(shard)].clear();
+    PortSolveContext& ctx = shard_ctxs_[static_cast<size_t>(shard)];
+    stats_.port_reconfigurations += std::exchange(ctx.reconfigurations, 0);
+    stats_.eq2_cache_hits += std::exchange(ctx.cache_hits, 0);
+    stats_.eq2_cache_misses += std::exchange(ctx.cache_misses, 0);
+  }
+  stats_.last_calc_wall_seconds = watch.ElapsedSeconds();
+  stats_.total_calc_wall_seconds += stats_.last_calc_wall_seconds;
+  if (flow_sim_ != nullptr) {
+    flow_sim_->RequestReallocate();
+  }
+}
+
+int CentralizedController::ShardOfPort(LinkId link) const {
+  if (num_shards_ == 1) {
+    return 0;
+  }
+  const Link& l = network_->topology().link(link);
+  const NodeId owner = IsSwitch(network_->topology().node(l.src).kind) ? l.src : l.dst;
+  return static_cast<int>(owner) % num_shards_;
 }
 
 void CentralizedController::ReallocatePort(LinkId link, PortSolveContext* ctx) {
@@ -217,9 +310,7 @@ void CentralizedController::ReallocatePort(LinkId link, PortSolveContext* ctx) {
   assert(ctx->mapper.has_value());
   ++ctx->reconfigurations;
 
-  // Hot path: one call per dirty port per flush, and a ReclusterPls marks
-  // every active port dirty. All per-call containers are scratch arenas on
-  // the context, in the style of allocation_engine.cc.
+  // Hot path: every per-call container is a scratch arena on the context.
   std::vector<AppId>& ids = ctx->ids;
   std::vector<const SensitivityModel*>& models = ctx->models;
   std::vector<int>& app_pls = ctx->app_pls;
@@ -333,10 +424,8 @@ double CentralizedController::RecomputeAllPortsTimed() {
     stats_.last_calc_wall_seconds = 0;
     return 0;
   }
-  // The virtual flush, so the distributed controller's sharded fan-out is
-  // what gets timed (the Fig 12 "calculation time" and the scale bench both
-  // land here). Any flush already pending for these ports is absorbed: the
-  // scheduled callback later finds an empty dirty set and no-ops.
+  // Any flush already pending for these ports is absorbed: the scheduled
+  // callback later finds an empty dirty set and no-ops.
   FlushDirtyPorts();
   return stats_.last_calc_wall_seconds;
 }

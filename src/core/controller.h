@@ -1,15 +1,27 @@
 // Saba's controller (paper §5): tracks registered applications and their
 // connections, solves the per-port weight problem (Eq 2), maps applications
-// to PLs (K-means) and PLs to queues (hierarchy walk), and programs the
-// switches' SL-to-VL tables and VL weights.
+// to PLs and PLs to queues (hierarchy walk), and programs the switches'
+// SL-to-VL tables and VL weights.
 //
 // ControllerInterface mirrors the RPC surface the Saba library calls (Fig 7):
 // app_register / conn_create / conn_destroy / app_deregister.
+//
+// One class serves both of the paper's deployments, told apart by two inputs:
+// - PL source: K-means over the live applications, re-run on every register
+//   and deregister; or, given the profiler's offline MappingDatabase (§5.4),
+//   a static lookup with no re-clustering.
+// - Shards: Eq 2 is independent per port, so the ports split over
+//   `num_shards` shards by owning switch, each with its own solve context,
+//   and a flush runs the per-shard batches on `shard_jobs` workers. One
+//   shard is the serial ascending-link walk the other layouts are tested
+//   against: neither count changes programmed state or merged counters
+//   (DESIGN.md §7.3).
 
 #ifndef SRC_CORE_CONTROLLER_H_
 #define SRC_CORE_CONTROLLER_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -25,6 +37,7 @@
 #include "src/net/flow_simulator.h"
 #include "src/net/network.h"
 #include "src/sim/rng.h"
+#include "src/sim/worker_pool.h"
 
 namespace saba {
 
@@ -78,12 +91,10 @@ struct ControllerOptions {
   uint64_t seed = 7;
 };
 
-// Everything one flush worker needs to reallocate ports independently: the
-// shard's Eq-2 solve cache and queue-map memo plus the per-call scratch
-// arenas (allocation_engine.cc style) and flush-local stat counters. The
-// centralized controller owns exactly one; DistributedController owns one per
-// shard, each touched by at most one WorkerPool task per flush (DESIGN.md
-// §7.3) — contexts are never shared between concurrent workers.
+// Everything one flush worker needs to reallocate ports independently: a
+// shard's Eq-2 solve cache and queue-map memo, per-call scratch arenas and
+// flush-local stat counters. One per shard, touched by at most one
+// WorkerPool task per flush (DESIGN.md §7.3).
 struct PortSolveContext {
   explicit PortSolveContext(bool cache_enabled) : cache(cache_enabled) {}
 
@@ -93,9 +104,9 @@ struct PortSolveContext {
   Eq2SolveCache cache;
   std::optional<QueueMapper> mapper;
 
-  // Stat deltas local to the current flush; the owning controller drains
-  // them into its ControllerStats in canonical shard order after workers
-  // join, so the totals never depend on scheduling.
+  // Stat deltas local to the current flush; the flush drains them into
+  // ControllerStats in ascending shard order after workers join, so the
+  // totals never depend on scheduling.
   uint64_t reconfigurations = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
@@ -122,16 +133,38 @@ struct ControllerStats {
   // signature was already solved; misses are distinct solves actually run.
   uint64_t eq2_cache_hits = 0;
   uint64_t eq2_cache_misses = 0;
+  // Flush accounting, invariant across num_shards and shard_jobs except
+  // `parallel_flushes` (flushes dispatched to the pool): 0 at one shard or
+  // one job, and the same for every shard_jobs > 1.
+  uint64_t flushes = 0;
+  uint64_t parallel_flushes = 0;
+  uint64_t ports_flushed = 0;
+  // Shard messages (§5.4), counted only with more than one shard: setups
+  // per shard owning the path's first port, and one forward per shard
+  // boundary the path crosses.
+  std::vector<uint64_t> conn_setups_per_shard;
+  uint64_t cross_shard_messages = 0;
   // Wall-clock cost of weight calculations (Eq 2 solves), for Fig 12.
   double total_calc_wall_seconds = 0;
   double last_calc_wall_seconds = 0;
 };
 
+// Declared in src/core/distributed_controller.h.
+struct MappingDatabase;
+struct DistributedControllerOptions;
+
 class CentralizedController : public ControllerInterface {
  public:
+  // One shard; PLs re-clustered by K-means on every register and deregister.
   // `flow_sim` may be null for offline/what-if use (no live retagging).
   CentralizedController(Network* network, FlowSimulator* flow_sim,
                         const SensitivityTable* table, ControllerOptions options = {});
+  // PLs from the offline `database` (§5.4), ports split over
+  // `options.num_shards` shards flushed by `options.shard_jobs` workers.
+  CentralizedController(Network* network, FlowSimulator* flow_sim,
+                        const SensitivityTable* table, MappingDatabase database,
+                        DistributedControllerOptions options);
+  ~CentralizedController() override;
 
   int AppRegister(AppId app, const std::string& workload_name) override;
   void ConnCreate(AppId app, NodeId src, NodeId dst, uint64_t path_salt) override;
@@ -140,6 +173,8 @@ class CentralizedController : public ControllerInterface {
   int CurrentServiceLevel(AppId app) const override;
 
   const ControllerStats& stats() const { return stats_; }
+  // The same counters under the name e2ebench reads.
+  const ControllerStats& distributed_stats() const { return stats_; }
 
   // Recomputes every port currently carrying Saba connections and returns
   // the wall-clock seconds spent — the Fig 12 "calculation time".
@@ -159,29 +194,38 @@ class CentralizedController : public ControllerInterface {
   size_t registered_app_count() const { return apps_.size(); }
 
  protected:
+  // Per port: last solved per-application weights, sorted by AppId (a flat
+  // vector: rebuilt wholesale on every reallocation). Protected, like
+  // shard_ctxs_, so test and benchmark probes can compare it.
+  // saba-lint: unordered-iter-ok(lookup-only: find/erase/rebuild, never iterated)
+  std::unordered_map<LinkId, std::vector<std::pair<AppId, double>>> port_weights_;
+  std::vector<PortSolveContext> shard_ctxs_;  // One per shard.
+
+ private:
   struct AppState {
-    std::string workload;
     SensitivityModel model;
     int pl = 0;
     int connections = 0;
   };
 
-  // Registers `app` with a fixed PL and no re-clustering; the distributed
-  // controller uses this with its offline mapping database (§5.4).
-  void RegisterAppStatic(AppId app, const std::string& workload_name, int pl);
+  // Flushes of fewer dirty ports run on the caller thread even with
+  // shard_jobs > 1: pool dispatch would dwarf a handful of warm-cache port
+  // solves (the adaptive fallback of DESIGN.md §7.3).
+  static constexpr size_t kMinParallelFlushPorts = 64;
 
-  // Installs a fixed PL geometry (centroid models) for the queue mapper.
-  void InstallPlModels(const std::vector<SensitivityModel>& pl_models);
+  CentralizedController(Network* network, FlowSimulator* flow_sim,
+                        const SensitivityTable* table, ControllerOptions options,
+                        std::unique_ptr<const MappingDatabase> database, int num_shards,
+                        int shard_jobs);
 
   // Re-runs application-to-PL K-means and rebuilds the PL hierarchy; retags
-  // live flows; refreshes every active port.
+  // live flows; refreshes every active port. Only without a database.
   void ReclusterPls();
 
   // Solves Eq 2 for the applications at `link` and programs the port, using
   // `ctx`'s cache, mapper, and scratch. Thread-compatible as long as each
-  // concurrent caller owns a distinct ctx and a disjoint set of links, reads
-  // apps_/port_apps_ only, and finds its port_weights_ slot pre-created (see
-  // DistributedController::FlushDirtyPorts).
+  // concurrent caller owns a distinct ctx and a disjoint set of links, and
+  // finds its port_weights_ slot pre-created (see FlushDirtyPorts).
   void ReallocatePort(LinkId link, PortSolveContext* ctx);
 
   // Marks ports for recomputation. With a live flow simulator the flush is
@@ -189,23 +233,21 @@ class CentralizedController : public ControllerInterface {
   // conn_create calls — e.g. a whole job starting — costs one recompute per
   // port); offline it is synchronous.
   void MarkPortsDirty(const std::vector<LinkId>& links);
-  // Reallocates every dirty port and clears the dirty set. Virtual so the
-  // distributed controller can fan the batch across its shard workers; every
-  // override must program byte-identical state to this serial walk.
-  virtual void FlushDirtyPorts();
+  // Reallocates the dirty ports, each shard's batch in ascending link order
+  // with that shard's solve context, and clears the dirty set.
+  void FlushDirtyPorts();
 
-  // Folds ctx's flush-local counters into stats_ and resets them. Called
-  // after a flush in canonical (ascending shard) order.
-  void DrainContextStats(PortSolveContext* ctx);
-
-  // Records the wall-clock cost of one flush in stats_ and pokes the flow
-  // simulator for a re-allocation pass.
-  void FinishFlush(double elapsed_seconds);
+  // The shard owning a port: the src node for switch egress, the dst switch
+  // for host NIC egress (the NIC is configured via its ToR's manager).
+  int ShardOfPort(LinkId link) const;
 
   Network* network_;
   FlowSimulator* flow_sim_;
   const SensitivityTable* table_;
   ControllerOptions options_;
+  std::unique_ptr<const MappingDatabase> database_;  // Null: K-means PLs.
+  int num_shards_;
+  int shard_jobs_;
   WeightSolver solver_;
   Rng rng_;
   ControllerStats stats_;
@@ -217,27 +259,19 @@ class CentralizedController : public ControllerInterface {
   // saba-lint: unordered-iter-ok(keys sorted before every order-sensitive use)
   std::unordered_map<LinkId, std::map<AppId, int>> port_apps_;
   // Path each live connection was accounted under, keyed by the connection
-  // tuple (LIFO per tuple for duplicates). ConnDestroy must unwind exactly
-  // the ports ConnCreate charged: re-resolving at destroy time would corrupt
-  // port_apps_ whenever a failure rerouted the pair in between. Connections
-  // rerouted mid-life stay accounted at their create-time ports until they
-  // close — the real controller polls forwarding state periodically (§7.2),
-  // so bounded staleness is faithful.
+  // tuple (LIFO per tuple for duplicates), so ConnDestroy unwinds exactly the
+  // ports ConnCreate charged even if a failure rerouted the pair in between.
+  // Rerouted connections stay accounted at their create-time ports until
+  // they close; the real controller polls forwarding state (§7.2).
   std::map<std::tuple<AppId, NodeId, NodeId, uint64_t>, std::vector<std::vector<LinkId>>>
       conn_paths_;
-  // Per port: last solved per-application weights, sorted by AppId (a flat
-  // vector rather than a map — rebuilt wholesale on every reallocation, so
-  // node-based storage would be pure overhead on the hot path).
-  // saba-lint: unordered-iter-ok(lookup-only: find/erase/rebuild, never iterated)
-  std::unordered_map<LinkId, std::vector<std::pair<AppId, double>>> port_weights_;
-  // The centralized controller's (only) solve context: cache, mapper, and
-  // ReallocatePort scratch. Shard contexts live in DistributedController.
-  PortSolveContext solve_ctx_;
-  // FlushDirtyPorts copies into a vector and sorts ascending before
-  // reallocating (see the comment there), so set order never leaks out.
+  // FlushDirtyPorts batches these per shard and sorts each batch ascending
+  // before reallocating, so set order never leaks out.
   // saba-lint: unordered-iter-ok(flush sorts the links before reallocating)
   std::unordered_set<LinkId> dirty_ports_;
-  std::vector<LinkId> flush_order_;  // Scratch for the serial flush walk.
+  std::vector<std::vector<LinkId>> shard_ports_;  // Scratch: dirty links per shard.
+  std::vector<int> dirty_shards_;                 // Scratch: shards with work, ascending.
+  std::unique_ptr<WorkerPool> pool_;              // Lazy; only with shard_jobs > 1.
   bool flush_scheduled_ = false;
 };
 

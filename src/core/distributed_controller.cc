@@ -7,7 +7,6 @@
 
 #include "src/numerics/linalg.h"
 #include "src/sim/parse.h"
-#include "src/sim/wallclock.h"
 
 namespace saba {
 
@@ -127,160 +126,6 @@ std::optional<MappingDatabase> MappingDatabase::FromCsv(const std::string& csv) 
     return std::nullopt;
   }
   return db;
-}
-
-DistributedController::DistributedController(Network* network, FlowSimulator* flow_sim,
-                                             const SensitivityTable* table,
-                                             MappingDatabase database,
-                                             DistributedControllerOptions options)
-    : CentralizedController(network, flow_sim, table, options.base),
-      database_(std::move(database)),
-      num_shards_(options.num_shards),
-      shard_jobs_(options.shard_jobs) {
-  assert(num_shards_ >= 1);
-  assert(shard_jobs_ >= 1);
-  assert(!database_.pl_models.empty());
-  InstallPlModels(database_.pl_models);
-  // One solve context per shard, each with its own Eq-2 cache and queue-map
-  // memo over the (static, §5.4) database geometry. The contexts never need
-  // rebuilding: the distributed controller does not re-cluster at runtime.
-  shard_ctxs_.reserve(static_cast<size_t>(num_shards_));
-  for (int s = 0; s < num_shards_; ++s) {
-    shard_ctxs_.emplace_back(options.base.solve_cache);
-    shard_ctxs_.back().mapper.emplace(database_.pl_models, options.base.solve_cache);
-  }
-  shard_ports_.resize(static_cast<size_t>(num_shards_));
-  dist_stats_.conn_setups_per_shard.assign(static_cast<size_t>(num_shards_), 0);
-}
-
-void DistributedController::SetShardJobs(int jobs) {
-  assert(jobs >= 1);
-  if (jobs == shard_jobs_) {
-    return;
-  }
-  shard_jobs_ = jobs;
-  pool_.reset();
-}
-
-int DistributedController::AppRegister(AppId app, const std::string& workload_name) {
-  const int pl = database_.PlForWorkload(workload_name);
-  RegisterAppStatic(app, workload_name, pl);
-  if (flow_sim_ != nullptr) {
-    flow_sim_->SetAppServiceLevel(app, pl);
-  }
-  return pl;
-}
-
-void DistributedController::AppDeregister(AppId app) {
-  auto it = apps_.find(app);
-  assert(it != apps_.end());
-  assert(it->second.connections == 0);
-  ++stats_.deregistrations;
-  apps_.erase(it);
-  // No re-clustering: the PL geometry is fixed by the offline database.
-}
-
-void DistributedController::FlushDirtyPorts() {
-  if (dirty_ports_.empty()) {
-    return;
-  }
-  Stopwatch watch;
-
-  // Batch the delta stream per owning shard. The dirty set is unordered
-  // (annotated at its declaration); each shard's batch is sorted ascending
-  // below, and results cannot depend on visit order anyway — solves are
-  // keyed by signature, ports are disjoint across shards.
-  for (std::vector<LinkId>& batch : shard_ports_) {
-    batch.clear();
-  }
-  for (LinkId link : dirty_ports_) {
-    shard_ports_[static_cast<size_t>(ShardOfPort(link))].push_back(link);
-  }
-  dirty_ports_.clear();
-
-  dirty_shards_.clear();
-  size_t dirty_count = 0;
-  for (int s = 0; s < num_shards_; ++s) {
-    std::vector<LinkId>& batch = shard_ports_[static_cast<size_t>(s)];
-    if (batch.empty()) {
-      continue;
-    }
-    std::sort(batch.begin(), batch.end());
-    dirty_shards_.push_back(s);
-    dirty_count += batch.size();
-  }
-
-  // Pre-create each active port's weight slot serially: the workers then
-  // only rewrite per-port vectors, never the shared map's structure.
-  for (const int s : dirty_shards_) {
-    for (const LinkId link : shard_ports_[static_cast<size_t>(s)]) {
-      if (port_apps_.find(link) != port_apps_.end()) {
-        (void)port_weights_[link];
-      }
-    }
-  }
-
-  ++dist_stats_.flushes;
-  dist_stats_.ports_flushed += dirty_count;
-
-  // Adaptive dispatch (DESIGN.md §7.3): one pool task per dirty shard, or
-  // the caller thread when the batch is too small to amortize the dispatch.
-  // The decision is a pure function of the delta stream, num_shards, and
-  // shard_jobs — never of thread timing.
-  const bool fan_out =
-      shard_jobs_ > 1 && dirty_shards_.size() > 1 && dirty_count >= kMinParallelFlushPorts;
-  if (fan_out) {
-    ++dist_stats_.parallel_flushes;
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<WorkerPool>(shard_jobs_);
-    }
-    pool_->Run(dirty_shards_.size(), [this](size_t index, int /*slot*/) {
-      const int shard = dirty_shards_[index];
-      PortSolveContext* ctx = &shard_ctxs_[static_cast<size_t>(shard)];
-      for (const LinkId link : shard_ports_[static_cast<size_t>(shard)]) {
-        ReallocatePort(link, ctx);
-      }
-    });
-  } else {
-    for (const int shard : dirty_shards_) {
-      PortSolveContext* ctx = &shard_ctxs_[static_cast<size_t>(shard)];
-      for (const LinkId link : shard_ports_[static_cast<size_t>(shard)]) {
-        ReallocatePort(link, ctx);
-      }
-    }
-  }
-
-  // Deterministic merge: drain per-shard counters in ascending shard order
-  // after the workers have joined.
-  for (const int shard : dirty_shards_) {
-    DrainContextStats(&shard_ctxs_[static_cast<size_t>(shard)]);
-  }
-  FinishFlush(watch.ElapsedSeconds());
-}
-
-int DistributedController::ShardOfPort(LinkId link) const {
-  const Link& l = network_->topology().link(link);
-  const NodeId owner = IsSwitch(network_->topology().node(l.src).kind) ? l.src : l.dst;
-  return static_cast<int>(owner) % num_shards_;
-}
-
-void DistributedController::ConnCreate(AppId app, NodeId src, NodeId dst, uint64_t path_salt) {
-  // Account the shard traffic: the library contacts the shard owning the
-  // first port; each shard boundary along the path costs one forward (§5.4).
-  const std::vector<LinkId>& path = network_->router().Route(src, dst, path_salt);
-  if (!path.empty()) {
-    const int first_shard = ShardOfPort(path.front());
-    dist_stats_.conn_setups_per_shard[static_cast<size_t>(first_shard)] += 1;
-    int prev = first_shard;
-    for (LinkId link : path) {
-      const int shard = ShardOfPort(link);
-      if (shard != prev) {
-        ++dist_stats_.cross_shard_messages;
-        prev = shard;
-      }
-    }
-  }
-  CentralizedController::ConnCreate(app, src, dst, path_salt);
 }
 
 }  // namespace saba

@@ -1,45 +1,19 @@
-// Distributed controller (paper §5.4).
-//
-// Eq 2 is independent per switch output port, so the controller logic shards
-// cleanly: each controller instance owns a group of switches and configures
-// only their ports, fetching the application-to-PL mapping and PL clusters
-// from a replicated database that the *profiler* populated offline. The price
-// of sharding is staleness: PLs are clustered over the full profiled catalog
-// rather than the live application mix, so the grouping can be coarser than
-// the centralized controller's (the paper measures this at ~4%, study 7).
-//
-// The implementation reuses the centralized port machinery (the math is
-// identical per port) and shards it for real: each shard owns the disjoint
-// set of ports whose owning switch hashes to it, with its own solve context
-// (Eq-2 cache, queue-map memo, scratch). A flush batches the dirty-port
-// delta stream per shard and dispatches one task per dirty shard across a
-// saba::WorkerPool (`shard_jobs` workers); small batches fall back to the
-// caller thread. Connection setups are additionally accounted to the shard
-// owning their first switch, one forward per shard boundary crossed (§5.4).
-//
-// Determinism (DESIGN.md §7.3): shards own disjoint ports and write only
-// their own context, their ports' PortConfig, and their ports' pre-created
-// port_weights_ slots; stats merge in ascending shard order after the
-// workers join. Because an Eq-2 solve is a pure function of the port's
-// app-mix signature — canonical model order, Rng seeded from the signature
-// (§7.2) — per-shard caches dedupe independently yet program bit-identical
-// state for identical mixes, with no cross-shard cache coherence. Neither
-// num_shards nor shard_jobs can change any programmed rate, queue map, or
-// merged stats counter (tests/sharded_flush_test.cc enforces this against
-// the centralized oracle under churn). Only the eq2 hit/miss *split* and the
-// explicitly per-shard counters depend on num_shards; their totals do not.
+// The distributed deployment of Saba's controller (paper §5.4): each shard
+// configures only its switches' ports and reads the application-to-PL
+// mapping from a database the profiler built offline and replicated to every
+// shard. The logic lives in CentralizedController (src/core/controller.h);
+// this header keeps the database, its replication format and the options,
+// and names the one class `DistributedController` as a plain alias.
 
 #ifndef SRC_CORE_DISTRIBUTED_CONTROLLER_H_
 #define SRC_CORE_DISTRIBUTED_CONTROLLER_H_
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/core/controller.h"
-#include "src/sim/worker_pool.h"
 
 namespace saba {
 
@@ -73,70 +47,7 @@ struct DistributedControllerOptions {
   int shard_jobs = 1;
 };
 
-struct DistributedControllerStats {
-  // Connection setups handled per shard (first-hop ownership). Sized
-  // num_shards, so inherently shard-count-specific; the sum is not.
-  std::vector<uint64_t> conn_setups_per_shard;
-  // Shard-to-shard forwarding messages (path crossed a shard boundary).
-  uint64_t cross_shard_messages = 0;
-  // Flush accounting. `flushes` and `ports_flushed` are invariant across
-  // both num_shards and shard_jobs; `parallel_flushes` counts batches
-  // dispatched to the worker pool — a deterministic function of the delta
-  // stream and num_shards, always 0 when shard_jobs == 1 and identical for
-  // every shard_jobs > 1.
-  uint64_t flushes = 0;
-  uint64_t parallel_flushes = 0;
-  uint64_t ports_flushed = 0;
-};
-
-class DistributedController : public CentralizedController {
- public:
-  DistributedController(Network* network, FlowSimulator* flow_sim,
-                        const SensitivityTable* table, MappingDatabase database,
-                        DistributedControllerOptions options = {});
-
-  // Registration consults the static database — no re-clustering happens at
-  // runtime (that is exactly the §5.4 trade-off).
-  int AppRegister(AppId app, const std::string& workload_name) override;
-  void AppDeregister(AppId app) override;
-  void ConnCreate(AppId app, NodeId src, NodeId dst, uint64_t path_salt) override;
-
-  const DistributedControllerStats& distributed_stats() const { return dist_stats_; }
-
-  // The shard owning a port (the src node for switch egress; the dst switch
-  // for host NIC egress, since the NIC is configured via its ToR's manager).
-  int ShardOfPort(LinkId link) const;
-
-  int num_shards() const { return num_shards_; }
-
-  // Resets the flush worker count (>= 1). Cheap when unchanged; otherwise
-  // the pool is torn down and lazily rebuilt on the next dispatched flush.
-  void SetShardJobs(int jobs);
-
- protected:
-  // Partitions the dirty set by owning shard and reallocates each shard's
-  // batch with that shard's own solve context — on the worker pool when the
-  // batch is big enough (see kMinParallelFlushPorts), inline otherwise.
-  void FlushDirtyPorts() override;
-
- private:
-  // Batches below this many dirty ports run on the caller thread even with
-  // shard_jobs > 1: pool dispatch costs a few microseconds, which dwarfs a
-  // handful of warm-cache port solves (the same adaptive fallback the
-  // allocation engine applies to tiny component batches, DESIGN.md §7.3).
-  static constexpr size_t kMinParallelFlushPorts = 64;
-
-  MappingDatabase database_;
-  int num_shards_;
-  int shard_jobs_;
-  DistributedControllerStats dist_stats_;
-  // One solve context per shard; shard s is touched by exactly one worker
-  // task per flush, so contexts are worker-confined by construction.
-  std::vector<PortSolveContext> shard_ctxs_;
-  std::vector<std::vector<LinkId>> shard_ports_;  // Scratch: dirty links per shard.
-  std::vector<int> dirty_shards_;                 // Scratch: shards with work, ascending.
-  std::unique_ptr<WorkerPool> pool_;              // Lazy; only with shard_jobs > 1.
-};
+using DistributedController = CentralizedController;
 
 }  // namespace saba
 

@@ -47,13 +47,13 @@ struct PortSignature {
 };
 
 // Builds the canonical signature of `models` into *sig, reusing its buffers
-// (the controller keeps one PortSignature in thread_local scratch).
+// (the controller keeps one PortSignature per shard's solve context).
 void BuildPortSignature(const std::vector<const SensitivityModel*>& models, PortSignature* sig);
 
 // The memo itself: signature -> solved weights in canonical order. One
-// instance per PortSolveContext — a CentralizedController owns one, a
-// DistributedController owns one per shard — and solver options are fixed
-// per controller, so they need not be part of the key. Per-shard instances
+// instance per PortSolveContext, that is one per controller shard, and
+// solver options are fixed per controller, so they need not be part of the
+// key. Per-shard instances
 // need no coherence protocol: exactness (below) means a miss on one shard
 // re-derives bit-for-bit what a hit on another returns, so sharding only
 // shifts the hit/miss split, never the programmed state (DESIGN.md §7.3).

@@ -121,7 +121,7 @@ CoRunResult RunCoRun(const Topology& topology, const std::vector<JobSpec>& jobs,
       DistributedControllerOptions dist_options;
       dist_options.base = controller_options;
       dist_options.num_shards = options.distributed_shards;
-      controller = std::make_unique<DistributedController>(
+      controller = std::make_unique<CentralizedController>(
           &network, &flow_sim, options.table,
           MappingDatabase::Build(*options.table, options.num_pls, options.seed), dist_options);
       app_policy = std::make_unique<SabaClient>(controller.get());

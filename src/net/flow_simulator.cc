@@ -73,18 +73,6 @@ void FlowSimulator::CancelFlow(FlowId id) {
   MarkDirty();
 }
 
-void FlowSimulator::SetFlowPriority(FlowId id, int priority) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) {
-    return;
-  }
-  if (it->second->flow.priority != priority) {
-    it->second->flow.priority = priority;
-    engine_->FlowQueueChanged(&it->second->flow);
-    MarkDirty();
-  }
-}
-
 void FlowSimulator::SetAppServiceLevel(AppId app, int sl) {
   assert(sl >= 0 && sl < kNumServiceLevels);
   bool changed = false;

@@ -52,9 +52,6 @@ class FlowSimulator {
   // Removes a flow before completion (no callback fires).
   void CancelFlow(FlowId id);
 
-  // Changes the strict-priority class of one flow. Triggers reallocation.
-  void SetFlowPriority(FlowId id, int priority);
-
   // Sets every active flow's strict-priority class to `priority_of(flow)`,
   // visiting flows in ascending id order. Only flows whose class changed
   // stream a FlowQueueChanged delta; any change triggers reallocation. This
@@ -144,8 +141,8 @@ class FlowSimulator {
   const AllocationEngineStats& engine_stats() const { return engine_->stats(); }
 
   // Visits every active flow in ascending id order without copying. Callers
-  // may change flow attributes via SetFlowPriority / SetAppServiceLevel
-  // during the visit, but must not start or cancel flows.
+  // may retag flows via AssignFlowPriorities / SetAppServiceLevel during the
+  // visit, but must not start or cancel flows.
   template <typename Fn>
   void ForEachActiveFlow(Fn&& fn) const {
     engine_->ForEachFlow(std::forward<Fn>(fn));

@@ -69,6 +69,10 @@ struct ChurnCase {
   uint64_t seed;
 };
 
+// Names the case in gtest output by its label, not by its raw bytes (which
+// hold a string address and so change from build to build).
+void PrintTo(const ChurnCase& c, std::ostream* os) { *os << "ChurnCase{" << c.name << "}"; }
+
 class EngineChurnTest : public ::testing::TestWithParam<ChurnCase> {};
 
 TEST_P(EngineChurnTest, IncrementalMatchesFromScratchBitExact) {
@@ -553,6 +557,10 @@ struct ParallelChurnCase {
   int events;
   uint64_t seed;
 };
+
+void PrintTo(const ParallelChurnCase& c, std::ostream* os) {
+  *os << "ParallelChurnCase{" << c.name << "}";
+}
 
 class EngineParallelChurnTest : public ::testing::TestWithParam<ParallelChurnCase> {};
 

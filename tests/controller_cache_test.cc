@@ -29,7 +29,7 @@ class CacheProbeController : public CentralizedController {
     return port_weights_;
   }
   const QueueMapper* queue_mapper() const {
-    return solve_ctx_.mapper.has_value() ? &*solve_ctx_.mapper : nullptr;
+    return shard_ctxs_[0].mapper.has_value() ? &*shard_ctxs_[0].mapper : nullptr;
   }
 };
 

@@ -123,7 +123,7 @@ class DistributedControllerTest : public ::testing::Test {
 
 TEST_F(DistributedControllerTest, StaticRegistrationUsesDatabasePl) {
   const MappingDatabase db = MappingDatabase::Build(table_, 3, 1);
-  DistributedController controller(&network_, &flow_sim_, &table_, db, {});
+  CentralizedController controller(&network_, &flow_sim_, &table_, db, {});
   const int pl = controller.AppRegister(1, "steep");
   EXPECT_EQ(pl, db.PlForWorkload("steep"));
   EXPECT_EQ(controller.CurrentServiceLevel(1), pl);
@@ -135,7 +135,7 @@ TEST_F(DistributedControllerTest, StaticRegistrationUsesDatabasePl) {
 
 TEST_F(DistributedControllerTest, SameWorkloadAlwaysSamePl) {
   const MappingDatabase db = MappingDatabase::Build(table_, 3, 1);
-  DistributedController controller(&network_, &flow_sim_, &table_, db, {});
+  CentralizedController controller(&network_, &flow_sim_, &table_, db, {});
   const int a = controller.AppRegister(1, "medium");
   const int b = controller.AppRegister(2, "medium");
   EXPECT_EQ(a, b);
@@ -145,25 +145,25 @@ TEST_F(DistributedControllerTest, ConnSetupCountsShardTraffic) {
   const MappingDatabase db = MappingDatabase::Build(table_, 3, 1);
   DistributedControllerOptions options;
   options.num_shards = 4;
-  DistributedController controller(&network_, &flow_sim_, &table_, db, options);
+  CentralizedController controller(&network_, &flow_sim_, &table_, db, options);
   controller.AppRegister(1, "steep");
   // Host 0 (pod 0) to host 3 (pod 1): crosses ToR -> leaf -> spine -> ...,
   // touching several shards.
   controller.ConnCreate(1, 0, 3, 5);
   Settle();
   uint64_t total_setups = 0;
-  for (uint64_t n : controller.distributed_stats().conn_setups_per_shard) {
+  for (uint64_t n : controller.stats().conn_setups_per_shard) {
     total_setups += n;
   }
   EXPECT_EQ(total_setups, 1u);
-  EXPECT_GT(controller.distributed_stats().cross_shard_messages, 0u);
+  EXPECT_GT(controller.stats().cross_shard_messages, 0u);
 }
 
 TEST_F(DistributedControllerTest, PortWeightsMatchCentralizedMath) {
   // Eq 2 is per-port, so for a fixed app set at a port the distributed
   // controller solves the same problem as the centralized one.
   const MappingDatabase db = MappingDatabase::Build(table_, 3, 1);
-  DistributedController dist(&network_, &flow_sim_, &table_, db, {});
+  CentralizedController dist(&network_, &flow_sim_, &table_, db, {});
   dist.AppRegister(1, "steep");
   dist.AppRegister(2, "flat");
   dist.ConnCreate(1, 0, 1, 2);
@@ -185,7 +185,7 @@ TEST_F(DistributedControllerTest, PortWeightsMatchCentralizedMath) {
 
 TEST_F(DistributedControllerTest, DeregisterKeepsDatabaseGeometry) {
   const MappingDatabase db = MappingDatabase::Build(table_, 3, 1);
-  DistributedController controller(&network_, &flow_sim_, &table_, db, {});
+  CentralizedController controller(&network_, &flow_sim_, &table_, db, {});
   controller.AppRegister(1, "steep");
   controller.AppRegister(2, "flat");
   controller.AppDeregister(1);

@@ -215,11 +215,10 @@ TEST_F(FlowSimulatorTest, ZeroRateFlowsDoNotDeadlockOthers) {
   StrictPriorityAllocator strict;
   FlowSimulator sim(&scheduler_, &network_, &strict);
   SimTime low_done = -1;
-  const FlowId high = sim.StartFlow(0, 0, 1, Gbps(10), 0, 0, nullptr);
+  sim.StartFlow(0, 0, 1, Gbps(10), 0, 0, nullptr);
   const FlowId low = sim.StartFlow(1, 2, 1, Gbps(10), 0, 0,
                                    [&](FlowId) { low_done = scheduler_.Now(); });
-  sim.SetFlowPriority(high, 0);
-  sim.SetFlowPriority(low, 1);
+  sim.AssignFlowPriorities([&](const ActiveFlow& flow) { return flow.id == low ? 1 : 0; });
   scheduler_.Run();
   EXPECT_NEAR(low_done, 2.0, 1e-6);
 }

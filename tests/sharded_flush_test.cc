@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -17,55 +18,21 @@ namespace {
 
 // The sharded-flush half of the DESIGN.md §7.3 contract: neither the shard
 // count nor the flush worker count may change any programmed rate, queue
-// map, or merged stats counter. Distributed controllers at shard counts
-// {1, 2, 8} (serial and pooled) consume the same churn stream as a
-// centralized controller pinned to the same offline mapping database — the
-// oracle — and every universe must agree with it bit-exactly after every
-// event. Periodic full recomputes push flushes past the adaptive dispatch
-// threshold so the pooled universes genuinely fan out (the TSan CI job runs
-// this test to certify the fan-out).
+// map, or merged stats counter. Controllers at shard counts {2, 8} (serial
+// and pooled) consume the same churn stream as the oracle, the same
+// controller at one shard with a serial flush, all reading PLs from one
+// offline mapping database (so nothing re-clusters and any divergence is the
+// sharding's fault alone). Every universe must agree with the oracle
+// bit-exactly after every event. Periodic full recomputes push flushes past
+// the adaptive dispatch threshold so the pooled universes genuinely fan out
+// (the TSan CI job runs this test to certify the fan-out).
 
-// Centralized oracle with the distributed controller's registration
-// semantics: PLs come from the shared offline database and nothing ever
-// re-clusters, so any state divergence is the sharding's fault alone.
-class StaticOracleController : public CentralizedController {
+class ShardProbeController : public CentralizedController {
  public:
-  StaticOracleController(Network* network, const SensitivityTable* table,
-                         const MappingDatabase* database, ControllerOptions options)
-      : CentralizedController(network, /*flow_sim=*/nullptr, table, options),
-        database_(database) {
-    InstallPlModels(database_->pl_models);
-  }
-
-  int AppRegister(AppId app, const std::string& workload_name) override {
-    const int pl = database_->PlForWorkload(workload_name);
-    RegisterAppStatic(app, workload_name, pl);
-    return pl;
-  }
-
-  void AppDeregister(AppId app) override {
-    auto it = apps_.find(app);
-    ASSERT_TRUE(it != apps_.end());
-    ASSERT_EQ(it->second.connections, 0);
-    ++stats_.deregistrations;
-    apps_.erase(it);
-  }
+  using CentralizedController::CentralizedController;
 
   // Mirrors the controller's member type; only compared with operator==,
   // which is iteration-order-insensitive for unordered containers.
-  // saba-lint: unordered-iter-ok(order-insensitive operator== comparison only)
-  const std::unordered_map<LinkId, std::vector<std::pair<AppId, double>>>& port_weights() const {
-    return port_weights_;
-  }
-
- private:
-  const MappingDatabase* database_;
-};
-
-class ShardProbeController : public DistributedController {
- public:
-  using DistributedController::DistributedController;
-
   // saba-lint: unordered-iter-ok(order-insensitive operator== comparison only)
   const std::unordered_map<LinkId, std::vector<std::pair<AppId, double>>>& port_weights() const {
     return port_weights_;
@@ -119,7 +86,7 @@ struct ShardUniverse {
   std::unique_ptr<ShardProbeController> controller;
 };
 
-void ExpectMatchesOracle(const StaticOracleController& oracle, const Network& oracle_net,
+void ExpectMatchesOracle(const ShardProbeController& oracle, const Network& oracle_net,
                          const ShardUniverse& u, int event) {
   ASSERT_EQ(oracle.registered_app_count(), u.controller->registered_app_count())
       << "event " << event << " shards " << u.num_shards;
@@ -157,21 +124,19 @@ TEST(ShardedFlushTest, ShardAndWorkerCountsNeverChangeStateOrStats) {
 
   ControllerOptions base;  // solve_cache defaults to on, like production.
   std::unique_ptr<Network> oracle_net = MakeNetwork();
-  StaticOracleController oracle(oracle_net.get(), &table, &database, base);
+  ShardProbeController oracle(oracle_net.get(), /*flow_sim=*/nullptr, &table, database,
+                              {.base = base, .num_shards = 1, .shard_jobs = 1});
 
   std::vector<ShardUniverse> universes;
-  const std::pair<int, int> configs[] = {{1, 1}, {2, 4}, {8, 1}, {8, 4}};
+  const std::pair<int, int> configs[] = {{2, 1}, {2, 4}, {8, 1}, {8, 4}};
   for (const auto& [shards, jobs] : configs) {
     ShardUniverse u;
     u.num_shards = shards;
     u.shard_jobs = jobs;
     u.network = MakeNetwork();
-    DistributedControllerOptions options;
-    options.base = base;
-    options.num_shards = shards;
-    options.shard_jobs = jobs;
-    u.controller = std::make_unique<ShardProbeController>(u.network.get(), /*flow_sim=*/nullptr,
-                                                          &table, database, options);
+    u.controller = std::make_unique<ShardProbeController>(
+        u.network.get(), /*flow_sim=*/nullptr, &table, database,
+        DistributedControllerOptions{.base = base, .num_shards = shards, .shard_jobs = jobs});
     universes.push_back(std::move(u));
   }
 
@@ -258,7 +223,20 @@ TEST(ShardedFlushTest, ShardAndWorkerCountsNeverChangeStateOrStats) {
     // Every 50th event: a full recompute (the re-clustering / scale-bench
     // shape) — enough dirty ports that shard_jobs > 1 universes dispatch.
     if (e % 50 == 49) {
+      // The oracle runs the same flush code as the universes, so check it
+      // against a count of its own: a full recompute flushes and reconfigures
+      // each port on a live connection's path exactly once.
+      std::set<LinkId> active;
+      for (const Conn& conn : conns) {
+        const std::vector<LinkId>& path = oracle_net->router().Route(conn.src, conn.dst, conn.salt);
+        active.insert(path.begin(), path.end());
+      }
+      const uint64_t flushed = oracle.stats().ports_flushed;
+      const uint64_t reconfigured = oracle.stats().port_reconfigurations;
       oracle.RecomputeAllPortsTimed();
+      ASSERT_EQ(oracle.stats().ports_flushed - flushed, active.size()) << "event " << e;
+      ASSERT_EQ(oracle.stats().port_reconfigurations - reconfigured, active.size())
+          << "event " << e;
       for (ShardUniverse& u : universes) {
         u.controller->RecomputeAllPortsTimed();
       }
@@ -271,37 +249,43 @@ TEST(ShardedFlushTest, ShardAndWorkerCountsNeverChangeStateOrStats) {
     }
   }
 
-  // Flush accounting: invariant across every (num_shards, shard_jobs).
-  const DistributedControllerStats& d0 = universes[0].controller->distributed_stats();
-  EXPECT_GT(d0.flushes, 0u);
-  EXPECT_GT(d0.ports_flushed, 0u);
+  // Flush accounting: invariant across every (num_shards, shard_jobs), the
+  // oracle's included.
+  const ControllerStats& so = oracle.stats();
+  EXPECT_GT(so.flushes, 0u);
+  EXPECT_GT(so.ports_flushed, 0u);
+  EXPECT_EQ(so.parallel_flushes, 0u) << "a one-shard flush must never dispatch";
+  EXPECT_TRUE(so.conn_setups_per_shard.empty());
+  EXPECT_EQ(so.cross_shard_messages, 0u);
   for (const ShardUniverse& u : universes) {
-    const DistributedControllerStats& d = u.controller->distributed_stats();
-    EXPECT_EQ(d.flushes, d0.flushes) << "shards " << u.num_shards << " jobs " << u.shard_jobs;
-    EXPECT_EQ(d.ports_flushed, d0.ports_flushed)
+    const ControllerStats& d = u.controller->stats();
+    EXPECT_EQ(d.flushes, so.flushes) << "shards " << u.num_shards << " jobs " << u.shard_jobs;
+    EXPECT_EQ(d.ports_flushed, so.ports_flushed)
         << "shards " << u.num_shards << " jobs " << u.shard_jobs;
     // First-hop ownership is a partition of the same setups.
+    ASSERT_EQ(d.conn_setups_per_shard.size(), static_cast<size_t>(u.num_shards));
     uint64_t setups = 0;
     for (const uint64_t per_shard : d.conn_setups_per_shard) {
       setups += per_shard;
     }
-    EXPECT_EQ(setups, u.controller->stats().conn_creates);
-    if (u.num_shards == 1) {
-      EXPECT_EQ(d.cross_shard_messages, 0u);
-    }
+    EXPECT_EQ(setups, d.conn_creates);
+    EXPECT_GT(d.cross_shard_messages, 0u);
     if (u.shard_jobs == 1) {
       EXPECT_EQ(d.parallel_flushes, 0u) << "serial flushes must never dispatch";
     }
   }
   // The pooled universes really did fan out...
-  EXPECT_GT(universes[1].controller->distributed_stats().parallel_flushes, 0u);
-  EXPECT_GT(universes[3].controller->distributed_stats().parallel_flushes, 0u);
+  EXPECT_GT(universes[1].controller->stats().parallel_flushes, 0u);
+  EXPECT_GT(universes[3].controller->stats().parallel_flushes, 0u);
   // ...and dispatch is pure scheduling: at equal shard counts the per-shard
   // caches see identical traffic whether or not a pool was involved.
-  EXPECT_EQ(universes[2].controller->stats().eq2_cache_hits,
-            universes[3].controller->stats().eq2_cache_hits);
-  EXPECT_EQ(universes[2].controller->stats().eq2_cache_misses,
-            universes[3].controller->stats().eq2_cache_misses);
+  for (const size_t serial : {size_t{0}, size_t{2}}) {
+    const ControllerStats& a = universes[serial].controller->stats();
+    const ControllerStats& b = universes[serial + 1].controller->stats();
+    EXPECT_EQ(a.eq2_cache_hits, b.eq2_cache_hits) << "shards " << universes[serial].num_shards;
+    EXPECT_EQ(a.eq2_cache_misses, b.eq2_cache_misses)
+        << "shards " << universes[serial].num_shards;
+  }
 }
 
 }  // namespace
