@@ -7,7 +7,6 @@
 #include <limits>
 #include <utility>
 
-#include "src/net/waterfill.h"
 #include "src/sim/worker_pool.h"
 
 namespace saba {
@@ -25,8 +24,12 @@ namespace saba {
 // the filling is exact weighted max-min over the resources), and then
 // redistribute the capacity that under-demanding queues left unused to the
 // queues that were actually constrained, iterating toward the
-// work-conserving fixed point. A few rounds suffice: each round either finds
-// no slack or strictly grows some binding queue's capacity.
+// work-conserving fixed point. Each round either finds no slack or strictly
+// grows some binding queue's capacity, but the rounds are capped at
+// kMaxRounds = 4 and the fill of the last one stands: on BM_ChurnStar's FECN
+// star every solve reaches the cap, so there the result can be short of the
+// fixed point. Whether to raise, drop or replace the cap is decided under
+// ROADMAP item 3.
 //
 // All of it is fixed-point integer arithmetic (units.h): capacities and rates
 // are Bps64, weights live on the WeightUnits grid, water levels are exact
@@ -54,7 +57,8 @@ namespace saba {
 // One flow class: the registered flows with the same path (by content), app,
 // SL, priority and quantized intra weight. The solvers read the key and the
 // multiplicity m = members.size(), and write `rate`, which SolveComponent
-// then copies to every member.
+// then copies to every member. In the engine each member's engine_member is
+// its index in `members`.
 struct FlowClass {
   // What a solve reads and writes comes first, so it shares a cache line.
   // `path` is borrowed from a member: every member's path has the same
@@ -68,9 +72,6 @@ struct FlowClass {
   Bps64 rate = 0;            // Solve output.
   std::vector<ActiveFlow*> members;
   uint64_t hash = 0;  // Of the whole key; the engine's index probes by it.
-  // Engine only, parallel to members: the registry entries, whose `member`
-  // field is kept equal to their index here.
-  std::vector<AllocationEngine::FlowEntry*> entries;
 
   int32_t multiplicity() const { return static_cast<int32_t>(members.size()); }
 
@@ -288,9 +289,6 @@ struct ComponentScratch {
   std::vector<uint8_t> frozen;
   std::vector<LevelHeapEntry> heap;
   std::vector<int32_t> batch;
-  // Single-link fast path.
-  std::vector<WaterfillEntry> wf_entries;
-  std::vector<Bps64> wf_rates;
   // SolveComponentStrict.
   std::vector<FlowClass*> by_priority;
   LinkSlotMap remaining_slot;
@@ -527,6 +525,9 @@ void SolveNestedWfqInt(const std::vector<FlowClass*>& classes, size_t num_resour
     }
   }
 
+  // The round cap: the fill of round kMaxRounds stands even when it still
+  // leaves slack to re-home (every BM_ChurnStar solve ends here; see the
+  // file comment and ROADMAP item 3).
   constexpr int kMaxRounds = 4;
   for (int round = 0; round < kMaxRounds; ++round) {
     for (size_t r = 0; r < num_resources; ++r) {
@@ -685,12 +686,10 @@ void SolveComponentNested(const std::vector<FlowClass*>& classes, const Network&
   if (num_link_slots == 1) {
     // Single-link component: each queue's WFQ share is final (no other link
     // can bind first, and every queue is fully used by its elastic flows, so
-    // redistribution could only move floor dust). Each queue then degenerates
-    // to a single-resource water-fill with elastic demands — the closed form
-    // SolveWaterfill computes directly, identical to what the progressive
-    // fill would freeze. A class enters as one entry of weight m·w, whose
-    // grant floor(m·w·L) gives each member floor(floor(m·w·L) / m) =
-    // floor(w·L), the per-flow grant.
+    // redistribution could only move floor dust). Each queue then is one
+    // resource whose classes all freeze at the level L = cap / Σ m·w (the
+    // resource's denom0), identical to what the progressive fill would
+    // freeze: each member gets floor(w·L), the per-flow grant.
     int64_t weight_sum = 0;
     for (const int32_t r : s->link_resources[0]) {
       weight_sum += s->work[static_cast<size_t>(r)].weight_units;
@@ -701,17 +700,13 @@ void SolveComponentNested(const std::vector<FlowClass*>& classes, const Network&
       const Bps64 cap = RoundBps(
           BpsToDouble(s->link_capacity[0]) *
           (static_cast<double>(w.weight_units) / static_cast<double>(weight_sum)) * w.efficiency);
-      const int32_t begin = s->res_cls_offset[static_cast<size_t>(r)];
-      const int32_t end = s->res_cls_offset[static_cast<size_t>(r) + 1];
-      s->wf_entries.clear();
-      for (int32_t k = begin; k < end; ++k) {
+      for (int32_t k = s->res_cls_offset[static_cast<size_t>(r)],
+                   end = s->res_cls_offset[static_cast<size_t>(r) + 1];
+           k < end; ++k) {
         const size_t f = static_cast<size_t>(s->res_cls[static_cast<size_t>(k)]);
-        s->wf_entries.push_back({s->cls_mult[f] * s->cls_weight[f], kElasticDemand});
-      }
-      SolveWaterfill(cap, s->wf_entries, &s->wf_rates);
-      for (int32_t k = begin; k < end; ++k) {
-        const size_t f = static_cast<size_t>(s->res_cls[static_cast<size_t>(k)]);
-        classes[f]->rate = s->wf_rates[static_cast<size_t>(k - begin)] / s->cls_mult[f];
+        classes[f]->rate =
+            cap > 0 ? static_cast<Bps64>(static_cast<Int128>(s->cls_weight[f]) * cap / w.denom0)
+                    : 0;
       }
     }
     return;
@@ -1091,10 +1086,10 @@ void AllocationEngine::RehashClasses(size_t size) {
   }
 }
 
-void AllocationEngine::AttachFlow(FlowEntry* entry) {
-  const ActiveFlow& flow = *entry->flow;
-  const int64_t weight_units = WeightUnits(flow.intra_weight);
-  const uint64_t hash = ClassKeyHash(*flow.path, flow.app, flow.sl, flow.priority, weight_units);
+void AllocationEngine::AttachFlow(ActiveFlow* flow) {
+  const int64_t weight_units = WeightUnits(flow->intra_weight);
+  const uint64_t hash =
+      ClassKeyHash(*flow->path, flow->app, flow->sl, flow->priority, weight_units);
   if ((live_classes_ + 1) * 2 > class_index_.size()) {
     RehashClasses(std::max<size_t>(16, class_index_.size() * 2));
   }
@@ -1103,8 +1098,8 @@ void AllocationEngine::AttachFlow(FlowEntry* entry) {
   int32_t id = -1;
   for (; class_index_[slot] >= 0; slot = (slot + 1) & mask) {
     const FlowClass& cls = classes_[static_cast<size_t>(class_index_[slot])];
-    if (cls.hash == hash && cls.ScalarKeyMatches(flow, weight_units) &&
-        (cls.path == flow.path || *cls.path == *flow.path)) {
+    if (cls.hash == hash && cls.ScalarKeyMatches(*flow, weight_units) &&
+        (cls.path == flow->path || *cls.path == *flow->path)) {
       id = class_index_[slot];
       break;
     }
@@ -1118,39 +1113,36 @@ void AllocationEngine::AttachFlow(FlowEntry* entry) {
       free_classes_.pop_back();
     }
     FlowClass& cls = classes_[static_cast<size_t>(id)];
-    cls.path = flow.path;
-    cls.app = flow.app;
-    cls.sl = flow.sl;
-    cls.priority = flow.priority;
+    cls.path = flow->path;
+    cls.app = flow->app;
+    cls.sl = flow->sl;
+    cls.priority = flow->priority;
     cls.weight_units = weight_units;
     cls.hash = hash;
     class_index_[slot] = id;
     ++live_classes_;
-    for (const LinkId l : *flow.path) {
+    for (const LinkId l : *flow->path) {
       link_classes_[static_cast<size_t>(l)].push_back(id);
     }
   }
   FlowClass& cls = classes_[static_cast<size_t>(id)];
-  entry->cls = id;
-  entry->member = cls.multiplicity();
-  cls.members.push_back(entry->flow);
-  cls.entries.push_back(entry);
+  flow->engine_class = id;
+  flow->engine_member = cls.multiplicity();
+  cls.members.push_back(flow);
 }
 
-void AllocationEngine::DetachFlow(FlowEntry* entry) {
-  const int32_t id = entry->cls;
+void AllocationEngine::DetachFlow(ActiveFlow* flow) {
+  const int32_t id = flow->engine_class;
   FlowClass& cls = classes_[static_cast<size_t>(id)];
-  const size_t pos = static_cast<size_t>(entry->member);
-  assert(pos < cls.members.size() && cls.entries[pos] == entry);
+  const size_t pos = static_cast<size_t>(flow->engine_member);
+  assert(pos < cls.members.size() && cls.members[pos] == flow);
   cls.members[pos] = cls.members.back();
-  cls.entries[pos] = cls.entries.back();
-  cls.entries[pos]->member = static_cast<int32_t>(pos);
+  cls.members[pos]->engine_member = static_cast<int32_t>(pos);
   cls.members.pop_back();
-  cls.entries.pop_back();
-  entry->cls = -1;
-  entry->member = -1;
+  flow->engine_class = -1;
+  flow->engine_member = -1;
   if (!cls.members.empty()) {
-    if (cls.path == entry->flow->path) {
+    if (cls.path == flow->path) {
       cls.path = cls.members.front()->path;  // Re-borrow from a remaining member.
     }
     return;
@@ -1188,10 +1180,9 @@ void AllocationEngine::DetachFlow(FlowEntry* entry) {
 
 void AllocationEngine::FlowAdded(ActiveFlow* flow) {
   assert(flow != nullptr && flow->path != nullptr && !flow->path->empty());
-  const auto [it, inserted] = flows_.emplace(flow->id, FlowEntry{flow, -1, -1});
-  assert(inserted && "flow ids must be unique");
-  (void)inserted;
-  AttachFlow(&it->second);
+  assert(flow->engine_class < 0 && "flow already registered");
+  AttachFlow(flow);
+  ++num_flows_;
   for (LinkId l : *flow->path) {
     assert(net_->topology().LinkUsable(l) && "flow path crosses a failed link; reroute first");
     MarkLinkDirty(l);
@@ -1199,25 +1190,20 @@ void AllocationEngine::FlowAdded(ActiveFlow* flow) {
 }
 
 void AllocationEngine::FlowRemoved(ActiveFlow* flow) {
-  assert(flow != nullptr);
-  const auto it = flows_.find(flow->id);
-  assert(it != flows_.end() && it->second.flow == flow && "flow not registered");
-  DetachFlow(&it->second);
-  flows_.erase(it);
+  assert(flow != nullptr && flow->engine_class >= 0 && "flow not registered");
+  DetachFlow(flow);
+  --num_flows_;
   for (LinkId l : *flow->path) {
     MarkLinkDirty(l);
   }
 }
 
 void AllocationEngine::FlowQueueChanged(ActiveFlow* flow) {
-  assert(flow != nullptr);
-  const auto it = flows_.find(flow->id);
-  assert(it != flows_.end() && it->second.flow == flow && "flow not registered");
-  FlowEntry& entry = it->second;
-  if (!classes_[static_cast<size_t>(entry.cls)].ScalarKeyMatches(
+  assert(flow != nullptr && flow->engine_class >= 0 && "flow not registered");
+  if (!classes_[static_cast<size_t>(flow->engine_class)].ScalarKeyMatches(
           *flow, WeightUnits(flow->intra_weight))) {
-    DetachFlow(&entry);
-    AttachFlow(&entry);
+    DetachFlow(flow);
+    AttachFlow(flow);
   }
   for (LinkId l : *flow->path) {
     MarkLinkDirty(l);
@@ -1265,7 +1251,7 @@ void AllocationEngine::Recompute() {
     return;
   }
   ++stats_.recomputes;
-  const size_t total = flows_.size();
+  const size_t total = num_flows_;
   size_t rerated = 0;
   size_t classes_rerated = 0;
 

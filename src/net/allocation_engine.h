@@ -22,6 +22,11 @@
 // §7.1). On a single-switch star (Fig 8) ~2,000 flows per component fall into
 // ~950 classes.
 //
+// The engine keeps no flow index of its own: the caller owns the flows (the
+// simulator's id-ordered map is the one flow index), and each registered
+// flow carries its registry position (ActiveFlow::engine_class and
+// engine_member), so every delta finds its class in O(1).
+//
 // Exactness, not approximation: two flows can influence each other's rates
 // only through a chain of shared links, so a connected component of the
 // link <-> flow sharing graph is a self-contained allocation subproblem. Both
@@ -55,7 +60,6 @@
 #define SRC_NET_ALLOCATION_ENGINE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -123,7 +127,9 @@ class AllocationEngine {
 
   // --- Delta feed ----------------------------------------------------------
   // The flow pointer must stay valid and its path stable until FlowRemoved.
-  // Flow ids must be unique among registered flows.
+  // A flow is registered with at most one engine at a time, since its
+  // registry position lives in the flow; adding a registered flow, or
+  // removing or re-keying an unregistered one, asserts.
   void FlowAdded(ActiveFlow* flow);
   void FlowRemoved(ActiveFlow* flow);
   // The flow moved queues in place: its sl, priority, or intra_weight
@@ -143,41 +149,19 @@ class AllocationEngine {
   // flows keep their previous rate. With no dirty state this is a no-op.
   void Recompute();
 
-  // --- Stable flow index ---------------------------------------------------
-  // Visits every registered flow in ascending id order (no copies). Policies
-  // may mutate flow attributes and feed deltas during the visit, but must not
-  // add or remove flows.
-  template <typename Fn>
-  void ForEachFlow(Fn&& fn) const {
-    for (const auto& [id, entry] : flows_) {
-      fn(static_cast<const ActiveFlow&>(*entry.flow));
-    }
-  }
-
-  size_t flow_count() const { return flows_.size(); }
   // Live flow classes: the distinct (path, app, SL, priority, quantized
   // intra weight) keys among registered flows.
   size_t class_count() const { return live_classes_; }
   const AllocationEngineStats& stats() const { return stats_; }
 
  private:
-  friend struct FlowClass;  // Its member list points back at FlowEntry records.
-
-  // The registry entry for one flow: the flow, the index of its class
-  // record, and its position in that class's member list.
-  struct FlowEntry {
-    ActiveFlow* flow = nullptr;
-    int32_t cls = -1;
-    int32_t member = -1;
-  };
-
   void MarkLinkDirty(LinkId link);
-  // Files the entry's flow under the class of its current key, creating the
-  // class if it has no live record.
-  void AttachFlow(FlowEntry* entry);
-  // Takes the entry's flow out of its class; a class left empty is retired
-  // and its record recycled.
-  void DetachFlow(FlowEntry* entry);
+  // Files the flow under the class of its current key, creating the class if
+  // it has no live record, and records its registry position on the flow.
+  void AttachFlow(ActiveFlow* flow);
+  // Takes the flow out of its class and resets its registry position; a
+  // class left empty is retired and its record recycled.
+  void DetachFlow(ActiveFlow* flow);
   // Rebuilds the open-addressing class index at `size` slots (a power of 2).
   void RehashClasses(size_t size);
   // Appends the classes of the component of `seed` reachable through shared
@@ -189,8 +173,9 @@ class AllocationEngine {
   const AllocationDiscipline discipline_;
   const PerAppWeightFn per_app_weights_;
 
-  // id -> entry: the stable, canonically ordered flow index.
-  std::map<FlowId, FlowEntry> flows_;
+  // Registered flows; the flows themselves live with the caller (for the
+  // simulator, in its id-ordered flow map).
+  size_t num_flows_ = 0;
 
   // Class registry. Records are recycled through free_classes_ (their member
   // vectors keep their capacity), and class_index_ is an open-addressing,
@@ -200,8 +185,8 @@ class AllocationEngine {
   std::vector<int32_t> free_classes_;
   std::vector<int32_t> class_index_;
   size_t live_classes_ = 0;
-  // Per link: live classes whose path crosses it (unordered; canonical order
-  // always comes from flow ids).
+  // Per link: live classes whose path crosses it (unordered; no solve
+  // depends on the order).
   std::vector<std::vector<int32_t>> link_classes_;
 
   std::vector<LinkId> dirty_links_;

@@ -82,6 +82,11 @@ struct ActiveFlow {
   // Integer by design: rates come out of the integer water-fill exactly
   // (units.h), and consumers convert to double only at the fluid boundary.
   Bps64 rate = 0;
+  // Engine-owned registry position while the flow is registered with an
+  // AllocationEngine: the index of its class record and its slot in that
+  // class's member list; -1 when unregistered. Only the engine writes them.
+  int32_t engine_class = -1;
+  int32_t engine_member = -1;
 };
 
 // Queue discipline a BandwidthAllocator (or AllocationEngine) solves under.

@@ -145,7 +145,9 @@ class FlowSimulator {
   // visit, but must not start or cancel flows.
   template <typename Fn>
   void ForEachActiveFlow(Fn&& fn) const {
-    engine_->ForEachFlow(std::forward<Fn>(fn));
+    for (const auto& [id, record] : flows_) {
+      fn(static_cast<const ActiveFlow&>(record->flow));
+    }
   }
 
   EventScheduler* scheduler() { return scheduler_; }
@@ -186,15 +188,16 @@ class FlowSimulator {
   std::unique_ptr<AllocationEngine> engine_;
   std::function<void()> pre_allocate_hook_;
 
-  // Ordered by flow id: completion extraction, host-egress accumulation and
-  // the service-level sweep all iterate this map, so ascending-id iteration
-  // keeps callback order and float-sum order canonical across platforms
-  // (the same argument as the engine's canonical flow index, DESIGN.md
-  // §7.1). unique_ptr keeps FlowRecord addresses stable, since
-  // ActiveFlow::path points into the record itself (and the engine holds the
-  // ActiveFlow pointer between deltas). HandleTopologyChange also relies on
-  // this order: broken flows re-pin in ascending id order, which keeps the
-  // delta stream canonical for the parallel-determinism contract (§7.3).
+  // The one flow index (the engine keeps only its class registry, DESIGN.md
+  // §7.1). Ordered by flow id: completion extraction, host-egress
+  // accumulation, the service-level sweep and ForEachActiveFlow all iterate
+  // this map, so ascending-id iteration keeps callback order and float-sum
+  // order canonical across platforms. unique_ptr keeps FlowRecord addresses
+  // stable, since ActiveFlow::path points into the record itself (and the
+  // engine holds the ActiveFlow pointer between deltas). HandleTopologyChange
+  // also relies on this order: broken flows re-pin in ascending id order,
+  // which keeps the delta stream canonical for the parallel-determinism
+  // contract (§7.3).
   std::map<FlowId, std::unique_ptr<FlowRecord>> flows_;
   FlowId next_flow_id_ = 1;
   EventHandle next_completion_event_;

@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/net/allocator.h"
@@ -1021,6 +1022,103 @@ TEST(AllocationEngineStatsTest, ClassesCountSharedKeysOnce) {
   AllocateFromScratch(ptrs, network, AllocationDiscipline::kWfqSlQueues);
   EXPECT_EQ(flows[1]->rate, oracle[0].rate);
   EXPECT_EQ(flows[2]->rate, oracle[1].rate);
+}
+
+// A lone a->b link, built as bench_validation builds it, is solved in closed
+// form: each queue gets RoundBps(link capacity x WFQ share x FECN efficiency),
+// and each flow in it floor(w x queue capacity / sum of m x w over the queue).
+// The expected rates are computed here from those formulas, for the engine
+// (classes of 2 and 3 flows) and the from-scratch path (every flow its own
+// class). Topology admits no zero-capacity link, so a zero queue capacity
+// cannot be built here.
+TEST(AllocationEngineSingleLinkTest, QueueSharesAreExactFloorsOfTheClosedForm) {
+  Topology topo;
+  const NodeId a = topo.AddNode(NodeKind::kHost);
+  const NodeId b = topo.AddNode(NodeKind::kHost);
+  topo.AddLink(a, b, Gbps64(1));
+  Network network(std::move(topo), /*default_queues=*/2);
+  network.port(0).queue_weights = {3.0, 1.0};
+  network.port(0).sl_to_queue[0] = 0;
+  network.port(0).sl_to_queue[1] = 1;
+  network.SetCongestionModel(std::make_unique<FecnCongestionModel>(0.30));
+
+  // One class per row; SL s maps to queue s. Queue 0 carries two apps,
+  // queue 1 one.
+  struct ClassSpec {
+    AppId app;
+    int sl;
+    double intra_weight;
+    int multiplicity;
+  };
+  const ClassSpec specs[] = {{1, 0, 1.0, 3}, {2, 0, 0.15, 2}, {3, 1, 1.0, 1}, {3, 1, 0.15, 2}};
+
+  const double link = BpsToDouble(Gbps64(1));
+  const Bps64 queue_capacity[] = {
+      RoundBps(link * (3.0 / 4.0) * network.congestion().QueueEfficiency(2)),
+      RoundBps(link * (1.0 / 4.0) * network.congestion().QueueEfficiency(1))};
+  int64_t queue_weight_sum[] = {0, 0};
+  for (const ClassSpec& spec : specs) {
+    queue_weight_sum[spec.sl] += spec.multiplicity * WeightUnits(spec.intra_weight);
+  }
+
+  std::vector<ActiveFlow> flows;
+  std::vector<Bps64> expected;
+  for (const ClassSpec& spec : specs) {
+    for (int i = 0; i < spec.multiplicity; ++i) {
+      ActiveFlow flow;
+      flow.id = static_cast<FlowId>(flows.size() + 1);
+      flow.app = spec.app;
+      flow.sl = spec.sl;
+      flow.intra_weight = spec.intra_weight;
+      flow.remaining_bits = Gbps(10);
+      flow.path = &network.router().Route(a, b, 0);
+      flows.push_back(flow);
+      expected.push_back(WeightUnits(spec.intra_weight) * queue_capacity[spec.sl] /
+                         queue_weight_sum[spec.sl]);
+    }
+  }
+  std::vector<ActiveFlow> scratch = flows;
+  std::vector<ActiveFlow*> scratch_ptrs;
+  for (ActiveFlow& flow : scratch) {
+    scratch_ptrs.push_back(&flow);
+  }
+
+  AllocationEngine engine(&network, AllocationDiscipline::kWfqSlQueues);
+  for (ActiveFlow& flow : flows) {
+    engine.FlowAdded(&flow);
+  }
+  engine.Recompute();
+  EXPECT_EQ(engine.class_count(), 4u);
+  AllocateFromScratch(scratch_ptrs, network, AllocationDiscipline::kWfqSlQueues);
+
+  Bps64 granted[] = {0, 0};
+  for (size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(flows[i].rate, expected[i]) << "engine, flow " << flows[i].id;
+    EXPECT_EQ(scratch[i].rate, expected[i]) << "from scratch, flow " << flows[i].id;
+    granted[flows[i].sl] += flows[i].rate;
+  }
+  // Within a queue the floors shed less than 1 bit/s per flow.
+  EXPECT_LE(granted[0], queue_capacity[0]);
+  EXPECT_GT(granted[0], queue_capacity[0] - 5);
+  EXPECT_LE(granted[1], queue_capacity[1]);
+  EXPECT_GT(granted[1], queue_capacity[1] - 3);
+}
+
+// The engine keeps each flow's registry position in the flow, so registering
+// a flow twice, or removing one it does not hold, asserts.
+TEST(AllocationEngineDeathTest, FlowAddedTwiceAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Network network(BuildSingleSwitchStar(4, Gbps64(10)), /*default_queues=*/2);
+  AllocationEngine engine(&network, AllocationDiscipline::kWfqSlQueues);
+  ActiveFlow flow;
+  flow.id = 1;
+  flow.app = 1;
+  flow.remaining_bits = Gbps(10);
+  flow.path = &network.router().Route(0, 1, 0);
+  engine.FlowAdded(&flow);
+  EXPECT_DEATH(engine.FlowAdded(&flow), "already registered");
+  engine.FlowRemoved(&flow);
+  EXPECT_DEATH(engine.FlowRemoved(&flow), "not registered");
 }
 
 // A flow whose key changes without FlowQueueChanged would be solved under its

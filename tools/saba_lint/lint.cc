@@ -33,7 +33,7 @@ struct FileScope {
   bool pool_impl = false;       // src/sim/worker_pool.{h,cc}: R7 exempt.
   bool bench = false;           // bench/: R3 applies.
   bool header = false;          // *.h: guard check applies.
-  bool alloc_core = false;      // src/net/{allocation_engine,allocator,waterfill}.*: R8 applies.
+  bool alloc_core = false;      // src/net/{allocation_engine,allocator}.*: R8 applies.
 };
 
 FileScope ScopeFor(const std::string& rel_path) {
@@ -47,8 +47,7 @@ FileScope ScopeFor(const std::string& rel_path) {
   scope.header = rel_path.size() >= 2 && rel_path.compare(rel_path.size() - 2, 2, ".h") == 0;
   scope.alloc_core =
       rel_path == "src/net/allocation_engine.h" || rel_path == "src/net/allocation_engine.cc" ||
-      rel_path == "src/net/allocator.h" || rel_path == "src/net/waterfill.h" ||
-      rel_path == "src/net/waterfill.cc";
+      rel_path == "src/net/allocator.h";
   return scope;
 }
 
@@ -215,9 +214,8 @@ void CheckIdentifierRules(const RuleContext& ctx) {
 
 // R8: the allocation core is fixed-point (units.h Bps64); its bit-exactness
 // contract (DESIGN.md §7.1) dies the moment a rate or capacity lives in a
-// double again. Two patterns are banned in src/net/allocation_engine.{h,cc},
-// src/net/allocator.h and src/net/waterfill.{h,cc} (the integer water-fill
-// the engine calls):
+// double again. Two patterns are banned in src/net/allocation_engine.{h,cc}
+// and src/net/allocator.h:
 //  * a floating-point declaration whose name says it holds a rate/capacity
 //    ("double rate", "float capacity_bps", ...), and
 //  * ==/!= against a floating-point literal (exact float comparison — rate

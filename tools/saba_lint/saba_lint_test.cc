@@ -149,8 +149,8 @@ TEST(SabaLintTest, R8ScopedToAllocationCoreFiles) {
   EXPECT_EQ(CountRule(LintFile("src/net/allocator.h", content), "R8"), 3)
       << "allocator.h is in scope (the guard check also fires on this guard-less "
          "fixture, which is fine)";
-  EXPECT_EQ(CountRule(LintFile("src/net/waterfill.cc", content), "R8"), 3)
-      << "the integer water-fill the engine calls is in scope";
+  EXPECT_EQ(CountRule(LintFile("src/net/allocation_engine.h", content), "R8"), 3)
+      << "the engine header is in scope";
   EXPECT_TRUE(LintFile("src/net/flow_simulator.cc", content).empty())
       << "fluid-boundary code may hold double rates";
   EXPECT_TRUE(LintFile("src/fixture/r8.cc", content).empty());

@@ -1,7 +1,7 @@
 // R8 fixture: raw double rates and exact float comparisons, as they would
 // look if someone un-fixed-pointed the allocation core. Only fires when
 // linted under an allocation-core path (src/net/allocation_engine.*,
-// src/net/allocator.h, src/net/waterfill.*).
+// src/net/allocator.h).
 namespace saba {
 
 struct Flow {
