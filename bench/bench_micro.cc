@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,9 +30,11 @@
 #include "src/exp/sweep_runner.h"
 #include "src/net/allocation_engine.h"
 #include "src/net/allocator.h"
+#include "src/net/flow_simulator.h"
 #include "src/net/routing.h"
 #include "src/net/units.h"
 #include "src/numerics/kmeans.h"
+#include "src/sim/event_scheduler.h"
 #include "src/sim/rng.h"
 
 namespace saba {
@@ -286,45 +289,61 @@ BENCHMARK(BM_ComponentBatchSolve)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMicr
 // sharing component, so each reallocation re-solves all of them. 16 apps on
 // 4 SLs each spread 100 flows over 54 host pairs of their own, so the 1,600
 // flows fall into 864 classes (~1.85 flows per class), close to the ~2,000
-// flows in ~950 classes a fig8 reallocation sees. Each iteration is one flow
-// completing and its successor starting on the same pair (a fresh id, same
-// class), then one Recompute of the whole component.
-void BM_ChurnStar(benchmark::State& state) {
-  constexpr int kHosts = 32;
-  constexpr int kApps = 16;
-  constexpr int kPairsPerApp = 54;
-  constexpr int kFlowsPerApp = 100;
-  Network network(BuildSingleSwitchStar(kHosts, Gbps64(56)), 8);
-  network.SetCongestionModel(std::make_unique<FecnCongestionModel>(0.30));
+// flows in ~950 classes a fig8 reallocation sees.
+constexpr int kStarHosts = 32;
+constexpr int kStarApps = 16;
+constexpr int kStarPairsPerApp = 54;
+constexpr int kStarFlowsPerApp = 100;
+
+std::unique_ptr<Network> MakeChurnStar() {
+  auto network = std::make_unique<Network>(BuildSingleSwitchStar(kStarHosts, Gbps64(56)), 8);
+  network->SetCongestionModel(std::make_unique<FecnCongestionModel>(0.30));
   for (int sl = 0; sl < kNumServiceLevels; ++sl) {
-    network.MapSlToQueueEverywhere(sl, sl % 8);
+    network->MapSlToQueueEverywhere(sl, sl % 8);
   }
+  return network;
+}
+
+// Per app, its distinct host pairs (seeded, so every run draws the same).
+std::vector<std::vector<std::pair<NodeId, NodeId>>> ChurnStarPairs() {
   Rng rng(8);
-  std::vector<std::unique_ptr<ActiveFlow>> flows;
-  FlowId next_id = 1;
-  for (int app = 0; app < kApps; ++app) {
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-    while (static_cast<int>(pairs.size()) < kPairsPerApp) {
-      const NodeId src = static_cast<NodeId>(rng.UniformInt(0, kHosts - 1));
-      const NodeId dst = static_cast<NodeId>(rng.UniformInt(0, kHosts - 1));
+  std::vector<std::vector<std::pair<NodeId, NodeId>>> per_app(kStarApps);
+  for (auto& pairs : per_app) {
+    while (static_cast<int>(pairs.size()) < kStarPairsPerApp) {
+      const NodeId src = static_cast<NodeId>(rng.UniformInt(0, kStarHosts - 1));
+      const NodeId dst = static_cast<NodeId>(rng.UniformInt(0, kStarHosts - 1));
       const std::pair<NodeId, NodeId> pair{src, dst};
       if (src != dst && std::find(pairs.begin(), pairs.end(), pair) == pairs.end()) {
         pairs.push_back(pair);
       }
     }
-    for (int i = 0; i < kFlowsPerApp; ++i) {
-      const auto& [src, dst] = pairs[static_cast<size_t>(i % kPairsPerApp)];
+  }
+  return per_app;
+}
+
+// The engine alone on the star: each iteration is one flow completing and its
+// successor starting on the same pair (a fresh id, same class), then one
+// Recompute of the whole component.
+void BM_ChurnStar(benchmark::State& state) {
+  const std::unique_ptr<Network> network = MakeChurnStar();
+  const auto per_app = ChurnStarPairs();
+  std::vector<std::unique_ptr<ActiveFlow>> flows;
+  FlowId next_id = 1;
+  for (int app = 0; app < kStarApps; ++app) {
+    for (int i = 0; i < kStarFlowsPerApp; ++i) {
+      const auto& pairs = per_app[static_cast<size_t>(app)];
+      const auto& [src, dst] = pairs[static_cast<size_t>(i % kStarPairsPerApp)];
       auto flow = std::make_unique<ActiveFlow>();
       flow->id = next_id++;
       flow->app = static_cast<AppId>(app);
       flow->sl = app % 4;
       flow->remaining_bits = Gigabytes(1);
-      flow->path = &network.router().Route(src, dst, 0);
+      flow->path = &network->router().Route(src, dst, 0);
       flows.push_back(std::move(flow));
     }
   }
   WfqMaxMinAllocator allocator;
-  std::unique_ptr<AllocationEngine> engine = allocator.CreateEngine(&network);
+  std::unique_ptr<AllocationEngine> engine = allocator.CreateEngine(network.get());
   for (const auto& flow : flows) {
     engine->FlowAdded(flow.get());
   }
@@ -347,6 +366,51 @@ void BM_ChurnStar(benchmark::State& state) {
                          static_cast<double>(stats.classes_rerated - before.classes_rerated));
 }
 BENCHMARK(BM_ChurnStar)->Unit(benchmark::kMicrosecond);
+
+// The same star and flow population driven through FlowSimulator and the
+// EventScheduler, so the simulator layer (per-reallocation drain sweep,
+// next-completion minimum, completion tick with its compaction, StartFlow's
+// route copy) has its own row beside the engine-only BM_ChurnStar. Flow sizes
+// are drawn from [0.5, 1.5] GB, and each completion starts a successor on the
+// same pair, so the population stays at 1,600. Each iteration steps the
+// scheduler through one reallocation: usually a completion tick that retires
+// one flow and starts its successor, then the coalesced re-solve.
+void BM_SimulatorChurnStar(benchmark::State& state) {
+  const std::unique_ptr<Network> network = MakeChurnStar();
+  const auto per_app = ChurnStarPairs();
+  EventScheduler scheduler;
+  WfqMaxMinAllocator allocator;
+  FlowSimulator sim(&scheduler, network.get(), &allocator);
+  Rng size_rng(9);
+  std::function<void(AppId, NodeId, NodeId)> start = [&](AppId app, NodeId src, NodeId dst) {
+    const double bits = size_rng.Uniform(Gigabytes(0.5), Gigabytes(1.5));
+    sim.StartFlow(app, src, dst, bits, app % 4, 0,
+                  [&start, app, src, dst](FlowId) { start(app, src, dst); });
+  };
+  for (int app = 0; app < kStarApps; ++app) {
+    for (int i = 0; i < kStarFlowsPerApp; ++i) {
+      const auto& pairs = per_app[static_cast<size_t>(app)];
+      const auto& [src, dst] = pairs[static_cast<size_t>(i % kStarPairsPerApp)];
+      start(static_cast<AppId>(app), src, dst);
+    }
+  }
+  scheduler.RunUntil(scheduler.Now());  // The first allocation.
+  const AllocationEngineStats before = sim.engine_stats();
+  for (auto _ : state) {
+    const uint64_t runs = sim.allocator_runs();
+    while (sim.allocator_runs() == runs && scheduler.Step()) {
+      // A completion tick, then the reallocation it schedules.
+    }
+  }
+  state.SetItemsProcessed(state.iterations());  // One reallocation per iteration.
+  const AllocationEngineStats& stats = sim.engine_stats();
+  state.counters["flows_per_class"] =
+      benchmark::Counter(static_cast<double>(stats.flows_rerated - before.flows_rerated) /
+                         static_cast<double>(stats.classes_rerated - before.classes_rerated));
+  state.counters["completions_per_iter"] = benchmark::Counter(
+      static_cast<double>(sim.completed_flow_count()) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_SimulatorChurnStar)->Unit(benchmark::kMicrosecond);
 
 // --- Eq 2 weight solver vs application count ---------------------------------
 

@@ -72,6 +72,7 @@ struct FlowClass {
   Bps64 rate = 0;            // Solve output.
   std::vector<ActiveFlow*> members;
   uint64_t hash = 0;  // Of the whole key; the engine's index probes by it.
+  std::vector<int32_t> link_slots;  // Engine only: per hop, its index in that link's list.
 
   int32_t multiplicity() const { return static_cast<int32_t>(members.size()); }
 
@@ -1121,8 +1122,12 @@ void AllocationEngine::AttachFlow(ActiveFlow* flow) {
     cls.hash = hash;
     class_index_[slot] = id;
     ++live_classes_;
-    for (const LinkId l : *flow->path) {
-      link_classes_[static_cast<size_t>(l)].push_back(id);
+    const std::vector<LinkId>& path = *flow->path;
+    cls.link_slots.resize(path.size());
+    for (size_t hop = 0; hop < path.size(); ++hop) {
+      auto& on_link = link_classes_[static_cast<size_t>(path[hop])];
+      cls.link_slots[hop] = static_cast<int32_t>(on_link.size());
+      on_link.push_back({id, static_cast<int32_t>(hop)});
     }
   }
   FlowClass& cls = classes_[static_cast<size_t>(id)];
@@ -1149,11 +1154,14 @@ void AllocationEngine::DetachFlow(ActiveFlow* flow) {
   }
 
   // The class is empty: unlink it from its links and the index, recycle it.
-  for (const LinkId l : *cls.path) {
-    auto& on_link = link_classes_[static_cast<size_t>(l)];
-    const auto it = std::find(on_link.begin(), on_link.end(), id);
-    assert(it != on_link.end());
-    *it = on_link.back();
+  const std::vector<LinkId>& path = *cls.path;
+  for (size_t hop = 0; hop < path.size(); ++hop) {
+    auto& on_link = link_classes_[static_cast<size_t>(path[hop])];
+    const int32_t slot = cls.link_slots[hop];
+    assert(on_link[static_cast<size_t>(slot)].cls == id);
+    const ClassHop moved = on_link.back();
+    on_link[static_cast<size_t>(slot)] = moved;
+    classes_[static_cast<size_t>(moved.cls)].link_slots[static_cast<size_t>(moved.hop)] = slot;
     on_link.pop_back();
   }
   // Linear-probing erase by backward shift: later entries of the probe run
@@ -1224,13 +1232,12 @@ size_t AllocationEngine::CollectComponent(LinkId seed, std::vector<FlowClass*>* 
   bfs_queue_.push_back(seed);
   for (size_t head = 0; head < bfs_queue_.size(); ++head) {
     const LinkId l = bfs_queue_[head];
-    for (const int32_t id : link_classes_[static_cast<size_t>(l)]) {
-      FlowClass& cls = classes_[static_cast<size_t>(id)];
+    for (const ClassHop entry : link_classes_[static_cast<size_t>(l)]) {
+      FlowClass& cls = classes_[static_cast<size_t>(entry.cls)];
       // Every link of the class's path joins the component, so the class is
       // collected exactly once: when the BFS processes its first path link.
-      // (Paths never repeat a link — DetachFlow's single-erase relies on the
-      // same property.)
-      if (cls.path->front() == l) {
+      // (Paths never repeat a link, so each class has one entry per link.)
+      if (entry.hop == 0) {
         out->push_back(&cls);
         num_flows += cls.members.size();
       }

@@ -23,7 +23,7 @@
 // ~950 classes.
 //
 // The engine keeps no flow index of its own: the caller owns the flows (the
-// simulator's id-ordered map is the one flow index), and each registered
+// simulator's id-ordered vector is the one flow index), and each registered
 // flow carries its registry position (ActiveFlow::engine_class and
 // engine_member), so every delta finds its class in O(1).
 //
@@ -174,7 +174,7 @@ class AllocationEngine {
   const PerAppWeightFn per_app_weights_;
 
   // Registered flows; the flows themselves live with the caller (for the
-  // simulator, in its id-ordered flow map).
+  // simulator, in its id-ordered flow index).
   size_t num_flows_ = 0;
 
   // Class registry. Records are recycled through free_classes_ (their member
@@ -186,8 +186,14 @@ class AllocationEngine {
   std::vector<int32_t> class_index_;
   size_t live_classes_ = 0;
   // Per link: live classes whose path crosses it (unordered; no solve
-  // depends on the order).
-  std::vector<std::vector<int32_t>> link_classes_;
+  // depends on the order) and the hop of the path at this link. Each class
+  // keeps its slot in every hop's list (FlowClass::link_slots), so retiring
+  // a class is a swap-and-pop per hop.
+  struct ClassHop {
+    int32_t cls;
+    int32_t hop;
+  };
+  std::vector<std::vector<ClassHop>> link_classes_;
 
   std::vector<LinkId> dirty_links_;
   std::vector<uint8_t> link_dirty_;

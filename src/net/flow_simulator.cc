@@ -1,5 +1,6 @@
 #include "src/net/flow_simulator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <utility>
@@ -26,6 +27,12 @@ FlowSimulator::FlowSimulator(EventScheduler* scheduler, Network* network,
   engine_ = allocator->CreateEngine(network_);
 }
 
+FlowSimulator::~FlowSimulator() {
+  for (FlowRecord* record : flows_) {
+    delete record;
+  }
+}
+
 FlowId FlowSimulator::StartFlow(AppId app, NodeId src, NodeId dst, double bits, int sl,
                                 uint64_t path_salt, CompletionCallback on_complete,
                                 double intra_weight) {
@@ -33,6 +40,7 @@ FlowId FlowSimulator::StartFlow(AppId app, NodeId src, NodeId dst, double bits, 
   assert(bits > 0);
   assert(sl >= 0 && sl < kNumServiceLevels);
   assert(intra_weight > 0);
+  assert(sweeps_ == 0 && "StartFlow during a flow sweep");
 
   const FlowId id = next_flow_id_++;
   auto record = std::make_unique<FlowRecord>();
@@ -42,10 +50,6 @@ FlowId FlowSimulator::StartFlow(AppId app, NodeId src, NodeId dst, double bits, 
   record->flow.priority = 0;
   record->flow.intra_weight = intra_weight;
   record->flow.remaining_bits = bits;
-  // The simulator owns a copy of the route: router cache entries are
-  // invalidated by topology mutations (routing.h contract), and the engine
-  // holds flow.path between deltas. Endpoints + salt stay on the record so a
-  // failure can re-resolve the same pinned connection.
   record->src = src;
   record->dst = dst;
   record->path_salt = path_salt;
@@ -55,28 +59,36 @@ FlowId FlowSimulator::StartFlow(AppId app, NodeId src, NodeId dst, double bits, 
   record->on_complete = std::move(on_complete);
   record->last_update = scheduler_->Now();
   engine_->FlowAdded(&record->flow);
-  flows_.emplace(id, std::move(record));
-  host_egress_stale_ = true;
+  flows_.push_back(record.get());  // Ids rise, so this keeps id order.
+  record.release();                // Owned by flows_ from here on.
   MarkDirty();
   return id;
 }
 
+std::vector<FlowSimulator::FlowRecord*>::const_iterator FlowSimulator::FindFlow(FlowId id) const {
+  const auto by_id = [](const FlowRecord* record, FlowId key) { return record->flow.id < key; };
+  const auto it = std::lower_bound(flows_.begin(), flows_.end(), id, by_id);
+  return it != flows_.end() && (*it)->flow.id == id ? it : flows_.end();
+}
+
 void FlowSimulator::CancelFlow(FlowId id) {
-  auto it = flows_.find(id);
+  assert(sweeps_ == 0 && "CancelFlow during a flow sweep");
+  const auto it = FindFlow(id);
   if (it == flows_.end()) {
     return;
   }
-  engine_->FlowRemoved(&it->second->flow);
+  const std::unique_ptr<FlowRecord> doomed(*it);
+  engine_->FlowRemoved(&doomed->flow);
   flows_.erase(it);
   ++cancelled_;
-  host_egress_stale_ = true;
   MarkDirty();
 }
 
 void FlowSimulator::SetAppServiceLevel(AppId app, int sl) {
   assert(sl >= 0 && sl < kNumServiceLevels);
   bool changed = false;
-  for (auto& [id, record] : flows_) {
+  const SweepScope sweep(this);
+  for (FlowRecord* record : flows_) {
     if (record->flow.app == app && record->flow.sl != sl) {
       record->flow.sl = sl;
       engine_->FlowQueueChanged(&record->flow);
@@ -106,8 +118,7 @@ void FlowSimulator::HandleTopologyChange() {
   // Ascending flow-id order keeps the FlowRemoved/FlowAdded delta stream
   // canonical (see flows_ comment); restores never move pinned flows, so only
   // paths that now cross an unusable link re-resolve.
-  bool changed = false;
-  for (auto& [id, record] : flows_) {
+  for (FlowRecord* record : flows_) {
     bool broken = false;
     for (LinkId l : record->path_storage) {
       if (!topo.LinkUsable(l)) {
@@ -125,10 +136,6 @@ void FlowSimulator::HandleTopologyChange() {
     record->flow.path = &record->path_storage;
     engine_->FlowAdded(&record->flow);
     ++rerouted_;
-    changed = true;
-  }
-  if (changed) {
-    host_egress_stale_ = true;
   }
   // Even with no broken flows, usable capacity may have shifted (e.g. a
   // restored link rejoins its ECMP group); recompute rates at this instant.
@@ -136,33 +143,29 @@ void FlowSimulator::HandleTopologyChange() {
 }
 
 double FlowSimulator::FlowRate(FlowId id) const {
-  auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second->flow.rate;
+  const auto it = FindFlow(id);
+  return it == flows_.end() ? 0.0 : (*it)->flow.rate;
 }
 
 double FlowSimulator::FlowRemainingBits(FlowId id) const {
-  auto it = flows_.find(id);
+  const auto it = FindFlow(id);
   if (it == flows_.end()) {
     return 0.0;
   }
-  const FlowRecord& record = *it->second;
+  const FlowRecord& record = **it;
   const double elapsed = scheduler_->Now() - record.last_update;
   return std::max(0.0, record.flow.remaining_bits - record.flow.rate * elapsed);
 }
 
 double FlowSimulator::HostEgressRate(NodeId host) const {
   assert(host >= 0 && static_cast<size_t>(host) < network_->topology().num_nodes());
-  if (host_egress_stale_) {
-    host_egress_.assign(network_->topology().num_nodes(), 0.0);
-    for (const auto& [id, record] : flows_) {
-      if (!record->flow.path->empty()) {
-        const NodeId src = network_->topology().link(record->flow.path->front()).src;
-        host_egress_[static_cast<size_t>(src)] += record->flow.rate;
-      }
+  double sum = 0.0;
+  for (const FlowRecord* record : flows_) {
+    if (record->src == host) {
+      sum += record->flow.rate;
     }
-    host_egress_stale_ = false;
   }
-  return host_egress_[static_cast<size_t>(host)];
+  return sum;
 }
 
 void FlowSimulator::SyncFlow(FlowRecord* record) {
@@ -191,24 +194,23 @@ void FlowSimulator::MarkDirty() {
 }
 
 void FlowSimulator::Reallocate() {
-  assert(!reallocating_ && "reentrant reallocation");
-  reallocating_ = true;
+  assert(sweeps_ == 0 && "reentrant reallocation");
+  const SweepScope sweep(this);  // The hook and the engine must not start or cancel flows.
   ++allocator_runs_;
 
-  for (auto& [id, record] : flows_) {
-    SyncFlow(record.get());
+  for (FlowRecord* record : flows_) {
+    SyncFlow(record);
   }
   if (pre_allocate_hook_) {
     pre_allocate_hook_();
   }
 
   engine_->Recompute();
-  host_egress_stale_ = true;
 
   // Re-plan the single next-completion event at the earliest finish time.
   const SimTime now = scheduler_->Now();
   SimTime next = kNeverTime;
-  for (auto& [id, record] : flows_) {
+  for (const FlowRecord* record : flows_) {
     const double rate = record->flow.rate;
     if (rate > 0) {
       next = std::min(next, now + record->flow.remaining_bits / rate);
@@ -225,27 +227,29 @@ void FlowSimulator::Reallocate() {
       next_completion_event_ = scheduler_->ScheduleAt(next, [this] { OnCompletionTick(); });
     }
   }
-  reallocating_ = false;
 }
 
 void FlowSimulator::OnCompletionTick() {
   next_completion_time_ = kNeverTime;
   // Drain everything up to now, then extract the finished flows before any
   // callback runs (callbacks may start new flows; the allocator must never
-  // see the finished ones).
+  // see the finished ones). Extraction compacts in place, keeping id order.
   std::vector<std::unique_ptr<FlowRecord>> finished;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    SyncFlow(it->second.get());
-    if (it->second->flow.remaining_bits <= DustFor(it->second->flow.rate)) {
-      engine_->FlowRemoved(&it->second->flow);
-      finished.push_back(std::move(it->second));
-      it = flows_.erase(it);
-    } else {
-      ++it;
+  {
+    const SweepScope sweep(this);
+    size_t kept = 0;
+    for (FlowRecord* record : flows_) {
+      SyncFlow(record);
+      if (record->flow.remaining_bits <= DustFor(record->flow.rate)) {
+        engine_->FlowRemoved(&record->flow);
+        finished.emplace_back(record);
+      } else {
+        flows_[kept++] = record;
+      }
     }
+    flows_.resize(kept);
   }
   completed_ += finished.size();
-  host_egress_stale_ = true;
   MarkDirty();  // Remaining flows need fresh rates and a new tick.
   for (const auto& record : finished) {
     if (record->on_complete) {

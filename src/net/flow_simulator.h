@@ -18,7 +18,6 @@
 
 #include <cassert>
 #include <functional>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -38,6 +37,7 @@ class FlowSimulator {
   // read only here, to create the engine.
   FlowSimulator(EventScheduler* scheduler, Network* network, const BandwidthAllocator* allocator);
 
+  ~FlowSimulator();
   FlowSimulator(const FlowSimulator&) = delete;
   FlowSimulator& operator=(const FlowSimulator&) = delete;
 
@@ -49,7 +49,8 @@ class FlowSimulator {
   FlowId StartFlow(AppId app, NodeId src, NodeId dst, double bits, int sl, uint64_t path_salt,
                    CompletionCallback on_complete, double intra_weight = 1.0);
 
-  // Removes a flow before completion (no callback fires).
+  // Removes a flow before completion (no callback fires). An unknown or
+  // already-finished id is a no-op.
   void CancelFlow(FlowId id);
 
   // Sets every active flow's strict-priority class to `priority_of(flow)`,
@@ -60,7 +61,8 @@ class FlowSimulator {
   template <typename Fn>
   void AssignFlowPriorities(Fn&& priority_of) {
     bool changed = false;
-    for (auto& [id, record] : flows_) {
+    const SweepScope sweep(this);
+    for (FlowRecord* record : flows_) {
       const int priority = priority_of(static_cast<const ActiveFlow&>(record->flow));
       if (record->flow.priority != priority) {
         record->flow.priority = priority;
@@ -98,7 +100,8 @@ class FlowSimulator {
   void HandleTopologyChange();
 
   // Installed hook runs immediately before each allocator invocation — the
-  // Homa-like policy refreshes size-based priorities here.
+  // Homa-like policy refreshes size-based priorities here. It may retag flows
+  // but must not start or cancel them (asserted).
   void SetPreAllocateHook(std::function<void()> hook) { pre_allocate_hook_ = std::move(hook); }
 
   // Component-parallel solving (DESIGN.md §7.3): fan multi-component solves
@@ -125,8 +128,8 @@ class FlowSimulator {
   // Remaining bits of a flow at the current instant; 0 if unknown.
   double FlowRemainingBits(FlowId id) const;
 
-  // Sum of rates of active flows whose source is `host` (egress throughput).
-  // O(1): served from per-host sums rebuilt lazily after rate changes.
+  // Sum of rates of active flows whose source is `host` (egress throughput),
+  // added in ascending flow id order.
   double HostEgressRate(NodeId host) const;
 
   size_t active_flow_count() const { return flows_.size(); }
@@ -142,10 +145,11 @@ class FlowSimulator {
 
   // Visits every active flow in ascending id order without copying. Callers
   // may retag flows via AssignFlowPriorities / SetAppServiceLevel during the
-  // visit, but must not start or cancel flows.
+  // visit, but must not start or cancel flows (asserted).
   template <typename Fn>
   void ForEachActiveFlow(Fn&& fn) const {
-    for (const auto& [id, record] : flows_) {
+    const SweepScope sweep(this);
+    for (const FlowRecord* record : flows_) {
       fn(static_cast<const ActiveFlow&>(record->flow));
     }
   }
@@ -168,6 +172,18 @@ class FlowSimulator {
     std::vector<LinkId> path_storage;
   };
 
+  // Counts a flows_ sweep in progress for its lifetime (sweeps may nest).
+  struct SweepScope {
+    explicit SweepScope(const FlowSimulator* sim) : sim(sim) { ++sim->sweeps_; }
+    ~SweepScope() { --sim->sweeps_; }
+    SweepScope(const SweepScope&) = delete;
+    SweepScope& operator=(const SweepScope&) = delete;
+    const FlowSimulator* sim;
+  };
+
+  // The position of flow `id` in flows_ (binary search on id), or end().
+  std::vector<FlowRecord*>::const_iterator FindFlow(FlowId id) const;
+
   // Applies elapsed drain to `record` up to Now().
   void SyncFlow(FlowRecord* record);
 
@@ -189,31 +205,27 @@ class FlowSimulator {
   std::function<void()> pre_allocate_hook_;
 
   // The one flow index (the engine keeps only its class registry, DESIGN.md
-  // §7.1). Ordered by flow id: completion extraction, host-egress
-  // accumulation, the service-level sweep and ForEachActiveFlow all iterate
-  // this map, so ascending-id iteration keeps callback order and float-sum
-  // order canonical across platforms. unique_ptr keeps FlowRecord addresses
-  // stable, since ActiveFlow::path points into the record itself (and the
-  // engine holds the ActiveFlow pointer between deltas). HandleTopologyChange
-  // also relies on this order: broken flows re-pin in ascending id order,
-  // which keeps the delta stream canonical for the parallel-determinism
-  // contract (§7.3).
-  std::map<FlowId, std::unique_ptr<FlowRecord>> flows_;
+  // §7.1), in ascending flow id: StartFlow appends (ids rise), a completion
+  // tick compacts finished flows out in place, lookups binary-search on id.
+  // Every sweep walks this order, so callback order, float-sum order and
+  // HandleTopologyChange's delta stream (§7.3) are canonical. Records stay
+  // put on the heap, since ActiveFlow::path points into the record and the
+  // engine holds the ActiveFlow. flows_ owns them through plain pointers, so
+  // an erase is a memmove (unique_ptr's element-wise move made CancelFlow
+  // the simulator's top self time on the Fig 8 star). push_back and erase
+  // invalidate iterators: StartFlow, CancelFlow and Reallocate assert that
+  // no sweep is running (sweeps_).
+  std::vector<FlowRecord*> flows_;
+  mutable int sweeps_ = 0;
   FlowId next_flow_id_ = 1;
   EventHandle next_completion_event_;
   SimTime next_completion_time_ = kNeverTime;
   double completion_quantum_ = 0;
   bool dirty_ = false;
-  bool reallocating_ = false;
   uint64_t completed_ = 0;
   uint64_t cancelled_ = 0;
   uint64_t allocator_runs_ = 0;
   uint64_t rerouted_ = 0;
-
-  // Per-host egress sums, rebuilt on demand after any rate or flow-set
-  // change. mutable: rebuilding in the const query is invisible to callers.
-  mutable std::vector<double> host_egress_;
-  mutable bool host_egress_stale_ = true;
 };
 
 }  // namespace saba

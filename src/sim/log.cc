@@ -5,7 +5,7 @@
 namespace saba {
 namespace {
 
-LogLevel g_level = LogLevel::kWarning;
+constexpr LogLevel kMinLevel = LogLevel::kWarning;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -25,12 +25,8 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level = level; }
-
-LogLevel GetLogLevel() { return g_level; }
-
 void LogMessage(LogLevel level, const std::string& message) {
-  if (level < g_level || level == LogLevel::kNone) {
+  if (level < kMinLevel || level == LogLevel::kNone) {
     return;
   }
   std::fprintf(stderr, "[%s] %s\n", LevelName(level), message.c_str());

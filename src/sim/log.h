@@ -1,8 +1,8 @@
 // Minimal leveled logging for the simulator and controller.
 //
 // Benchmarks print their tables to stdout; diagnostics go to stderr through
-// this logger so the two never interleave in captured output. Level is
-// process-global and defaults to kWarning so benches stay quiet.
+// this logger so the two never interleave in captured output. Messages below
+// kWarning are dropped so benches stay quiet.
 
 #ifndef SRC_SIM_LOG_H_
 #define SRC_SIM_LOG_H_
@@ -20,11 +20,7 @@ enum class LogLevel {
   kNone = 4,
 };
 
-// Sets the process-global minimum level that is emitted.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-// Emits one line to stderr if `level` >= the global level.
+// Emits one line to stderr if `level` >= kWarning.
 void LogMessage(LogLevel level, const std::string& message);
 
 // Stream-style helper: LogStream(LogLevel::kInfo) << "x=" << x; emits at

@@ -90,17 +90,12 @@ class Application {
   bool started() const { return started_; }
   bool finished() const { return finished_; }
   bool aborted() const { return aborted_; }
-  SimTime start_time() const { return start_time_; }
-  SimTime finish_time() const { return finish_time_; }
   // Completion time so far (finish - start); only valid once finished.
   SimTime CompletionSeconds() const;
 
   // True while instances are in the compute phase of the current stage
   // (drives the CPU-utilization traces of Fig 2).
   bool IsComputing() const { return started_ && !finished_ && computing_; }
-
-  int current_stage() const { return stage_; }
-  int service_level() const { return sl_; }
 
  private:
   void BeginStage();

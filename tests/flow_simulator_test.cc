@@ -246,6 +246,156 @@ TEST_F(FlowSimulatorTest, AssignFlowPrioritiesReallocatesOnlyOnChange) {
   scheduler_.Run();
 }
 
+// --- Order contracts of the flow index ---------------------------------------
+
+std::vector<FlowId> VisitedIds(const FlowSimulator& sim) {
+  std::vector<FlowId> ids;
+  sim.ForEachActiveFlow([&](const ActiveFlow& flow) { ids.push_back(flow.id); });
+  return ids;
+}
+
+TEST_F(FlowSimulatorTest, SimultaneousCompletionsFireInAscendingIdOrder) {
+  // Three flows on disjoint host links each run at the full 10 Gb/s and
+  // drain 10 Gb at the same instant; a cancelled flow and a longer one sit
+  // between them in id order.
+  std::vector<FlowId> fired;
+  std::vector<SimTime> at;
+  auto record = [&](FlowId id) {
+    fired.push_back(id);
+    at.push_back(scheduler_.Now());
+  };
+  std::vector<FlowId> expected;
+  expected.push_back(flow_sim_.StartFlow(0, 0, 1, Gbps(10), 0, 0, record));
+  const FlowId cancelled = flow_sim_.StartFlow(1, 1, 0, Gbps(10), 0, 0, record);
+  expected.push_back(flow_sim_.StartFlow(2, 1, 2, Gbps(10), 0, 0, record));
+  const FlowId longer = flow_sim_.StartFlow(3, 3, 0, Gbps(20), 0, 0, record);
+  expected.push_back(flow_sim_.StartFlow(4, 2, 3, Gbps(10), 0, 0, record));
+  flow_sim_.CancelFlow(cancelled);
+  scheduler_.RunUntil(1.5);
+  ASSERT_EQ(fired, expected);
+  for (const SimTime t : at) {
+    EXPECT_EQ(t, at.front());
+  }
+  EXPECT_EQ(flow_sim_.active_flow_count(), 1u);
+  EXPECT_EQ(VisitedIds(flow_sim_), std::vector<FlowId>{longer});
+  scheduler_.Run();
+  EXPECT_EQ(fired.back(), longer);
+}
+
+TEST_F(FlowSimulatorTest, ForEachActiveFlowVisitsAscendingIdsUnderChurn) {
+  // Interleaved starts, cancels and completions; at every step the visit
+  // order is ascending and the visited set is exactly the live set.
+  Rng rng(17);
+  std::vector<FlowId> live;  // Kept sorted: ids are issued in rising order.
+  auto on_done = [&](FlowId id) { std::erase(live, id); };
+  auto check = [&] {
+    EXPECT_EQ(VisitedIds(flow_sim_), live);
+    EXPECT_EQ(flow_sim_.active_flow_count(), live.size());
+  };
+  for (int step = 0; step < 60; ++step) {
+    scheduler_.ScheduleAt(0.05 * step, [&, step] {
+      const int starts = static_cast<int>(rng.UniformInt(1, 3));
+      for (int i = 0; i < starts; ++i) {
+        const auto src = static_cast<NodeId>(rng.UniformInt(0, 3));
+        const auto dst = static_cast<NodeId>((src + rng.UniformInt(1, 3)) % 4);
+        const double bits = rng.Uniform(Gbps(0.1), Gbps(2));
+        live.push_back(flow_sim_.StartFlow(step % 5, src, dst, bits, 0, 0, on_done));
+      }
+      if (live.size() > 2 && rng.Uniform01() < 0.5) {
+        const int64_t last = static_cast<int64_t>(live.size()) - 1;
+        const FlowId victim = live[static_cast<size_t>(rng.UniformInt(0, last))];
+        flow_sim_.CancelFlow(victim);
+        std::erase(live, victim);
+      }
+      check();
+    });
+  }
+  scheduler_.RunUntil(3.0);
+  check();
+  EXPECT_GT(flow_sim_.completed_flow_count(), 0u);
+  EXPECT_GT(flow_sim_.cancelled_flow_count(), 0u);
+  scheduler_.Run();
+  EXPECT_TRUE(live.empty());
+  check();
+}
+
+TEST_F(FlowSimulatorTest, CancelOfUnknownOrFinishedIdIsANoOp) {
+  const FlowId done = flow_sim_.StartFlow(0, 0, 1, Gbps(1), 0, 0, nullptr);
+  const FlowId running = flow_sim_.StartFlow(1, 2, 3, Gbps(100), 0, 0, nullptr);
+  scheduler_.RunUntil(0.5);
+  ASSERT_EQ(flow_sim_.completed_flow_count(), 1u);
+  const uint64_t runs = flow_sim_.allocator_runs();
+  flow_sim_.CancelFlow(done);
+  flow_sim_.CancelFlow(running + 1000);
+  flow_sim_.CancelFlow(kInvalidFlow);
+  scheduler_.RunUntil(0.6);
+  EXPECT_EQ(flow_sim_.cancelled_flow_count(), 0u);
+  EXPECT_EQ(flow_sim_.allocator_runs(), runs);
+  EXPECT_EQ(VisitedIds(flow_sim_), std::vector<FlowId>{running});
+  EXPECT_NEAR(flow_sim_.FlowRate(running), Gbps(10), 1.0);
+}
+
+TEST_F(FlowSimulatorTest, CancelledFlowReadsZeroRateAndRemainingBits) {
+  const FlowId kept = flow_sim_.StartFlow(0, 0, 1, Gbps(10), 0, 0, nullptr);
+  const FlowId cancelled = flow_sim_.StartFlow(1, 2, 1, Gbps(10), 0, 0, nullptr);
+  scheduler_.RunUntil(0.5);
+  EXPECT_GT(flow_sim_.FlowRate(cancelled), 0.0);
+  EXPECT_GT(flow_sim_.FlowRemainingBits(cancelled), 0.0);
+  flow_sim_.CancelFlow(cancelled);
+  flow_sim_.CancelFlow(cancelled);  // Twice: the second is a no-op.
+  EXPECT_EQ(flow_sim_.cancelled_flow_count(), 1u);
+  EXPECT_EQ(flow_sim_.FlowRate(cancelled), 0.0);
+  EXPECT_EQ(flow_sim_.FlowRemainingBits(cancelled), 0.0);
+  scheduler_.RunUntil(0.6);
+  EXPECT_EQ(flow_sim_.FlowRate(cancelled), 0.0);
+  EXPECT_EQ(flow_sim_.FlowRemainingBits(cancelled), 0.0);
+  EXPECT_NEAR(flow_sim_.FlowRate(kept), Gbps(10), 1.0);
+  scheduler_.Run();
+}
+
+TEST_F(FlowSimulatorTest, ActiveFlowCountAfterCompaction) {
+  // Short and long flows alternate in id order; one tick retires every short
+  // flow, and the survivors keep their order.
+  std::vector<FlowId> longs;
+  for (int i = 0; i < 8; ++i) {
+    const auto src = static_cast<NodeId>(i % 4);
+    const auto dst = static_cast<NodeId>((i + 1) % 4);
+    flow_sim_.StartFlow(0, src, dst, Gbps(1), 0, 0, nullptr);
+    longs.push_back(flow_sim_.StartFlow(1, src, dst, Gbps(100), 0, 0, nullptr));
+  }
+  EXPECT_EQ(flow_sim_.active_flow_count(), 16u);
+  scheduler_.RunUntil(1.0);
+  EXPECT_EQ(flow_sim_.completed_flow_count(), 8u);
+  EXPECT_EQ(flow_sim_.active_flow_count(), 8u);
+  EXPECT_EQ(VisitedIds(flow_sim_), longs);
+  scheduler_.Run();
+  EXPECT_EQ(flow_sim_.active_flow_count(), 0u);
+}
+
+// The flow index is a vector, whose iterators a push_back or erase
+// invalidates; starting or cancelling a flow from inside a sweep asserts.
+TEST(FlowSimulatorDeathTest, StartOrCancelDuringSweepAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EventScheduler scheduler;
+  Network network(BuildSingleSwitchStar(4, Gbps64(10)), 8);
+  WfqMaxMinAllocator allocator;
+  FlowSimulator sim(&scheduler, &network, &allocator);
+  const FlowId id = sim.StartFlow(0, 0, 1, Gbps(10), 0, 0, nullptr);
+  const auto start_inside = [&](const ActiveFlow&) {
+    sim.StartFlow(0, 1, 2, Gbps(1), 0, 0, nullptr);
+  };
+  const auto cancel_inside = [&](const ActiveFlow&) {
+    sim.CancelFlow(id);
+    return 0;
+  };
+  EXPECT_DEATH(sim.ForEachActiveFlow(start_inside), "StartFlow during a flow sweep");
+  EXPECT_DEATH(sim.AssignFlowPriorities(cancel_inside), "CancelFlow during a flow sweep");
+  // A sweep that only reads, followed by a cancel outside it, is fine.
+  EXPECT_EQ(VisitedIds(sim), std::vector<FlowId>{id});
+  sim.CancelFlow(id);
+  EXPECT_EQ(sim.active_flow_count(), 0u);
+}
+
 // --- Failure handling on a fat-tree ------------------------------------------
 
 class FatTreeFailureTest : public ::testing::Test {
